@@ -1,27 +1,24 @@
 #include "encodings/encoded_array.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/bits.h"
 #include "common/macros.h"
 #include "smart/dispatch.h"
-#include "smart/iterator.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::encodings {
 namespace {
 
+// Packs `values` into a fresh `bits`-wide smart array. PackRange over the
+// whole array packs every chunk through the pack network and installs its
+// exact [min, max] zone; payloads are never written after Encode, so the
+// zones stay exact and the pushdown scans may prune on them.
 std::unique_ptr<smart::SmartArray> PackValues(std::span<const uint64_t> values, uint32_t bits,
                                               const smart::PlacementSpec& placement,
                                               const platform::Topology& topology) {
   auto array = smart::SmartArray::Allocate(values.size(), placement, bits, topology);
-  const auto& codec = smart::CodecFor(bits);
-  for (int r = 0; r < array->num_replicas(); ++r) {
-    uint64_t* replica = array->MutableReplica(r);
-    for (uint64_t i = 0; i < values.size(); ++i) {
-      codec.init(replica, i, values[i]);
-    }
-  }
+  smart::PackRange(*array, 0, values.size(), values.data());
   return array;
 }
 
@@ -33,7 +30,32 @@ uint32_t MaxBits(std::span<const uint64_t> values) {
   return BitsForValue(max_value);
 }
 
+// Zeroes the bitmap words a SelectIf over `n` elements owns.
+void ClearBitmap(uint64_t* bitmap, uint64_t n) {
+  std::fill_n(bitmap, (n + kWordBits - 1) / kWordBits, uint64_t{0});
+}
+
+// Invokes fn(chunk, lo, hi) for every chunk overlapping [begin, end), with
+// [lo, hi) the overlap.
+template <typename Fn>
+void ForEachChunkSpan(uint64_t begin, uint64_t end, Fn&& fn) {
+  for (uint64_t lo = begin; lo < end;) {
+    const uint64_t chunk = lo / kChunkElems;
+    const uint64_t hi = std::min(end, (chunk + 1) * kChunkElems);
+    fn(chunk, lo, hi);
+    lo = hi;
+  }
+}
+
 }  // namespace
+
+uint64_t EncodedArray::footprint_bytes() const {
+  uint64_t total = 0;
+  for (const smart::SmartArray* payload : payloads()) {
+    total += payload->footprint_bytes();
+  }
+  return total;
+}
 
 std::unique_ptr<EncodedArray> EncodedArray::Encode(std::span<const uint64_t> values,
                                                    std::optional<Encoding> encoding,
@@ -68,18 +90,13 @@ uint64_t BitPackedArray::Get(uint64_t index, int socket) const {
 }
 
 void BitPackedArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
-  smart::WithBits(data_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(data_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      *out++ = it.Get();
-      it.Next();
-    }
-    return 0;
-  });
+  data_->RangeUnpack(data_->GetReplica(socket), begin, end, out);
 }
 
-uint64_t BitPackedArray::footprint_bytes() const { return data_->footprint_bytes(); }
+uint64_t BitPackedArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                  uint64_t* bitmap) const {
+  return data_->SelectIf(data_->GetReplica(socket), begin, end, p, bitmap);
+}
 
 // ---- DictionaryArray ----
 
@@ -92,39 +109,63 @@ DictionaryArray::DictionaryArray(std::span<const uint64_t> values,
   std::vector<uint64_t> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::map<uint64_t, uint64_t> code_of;
-  for (uint64_t c = 0; c < sorted.size(); ++c) {
-    code_of[sorted[c]] = c;
-  }
 
   dictionary_ = PackValues(sorted, 64, placement, topology);
   std::vector<uint64_t> codes(values.size());
   for (uint64_t i = 0; i < values.size(); ++i) {
-    codes[i] = code_of.at(values[i]);
+    codes[i] = std::lower_bound(sorted.begin(), sorted.end(), values[i]) - sorted.begin();
   }
   codes_ = PackValues(codes, BitsForCount(sorted.size()), placement, topology);
 }
 
 uint64_t DictionaryArray::Get(uint64_t index, int socket) const {
   const uint64_t code = codes_->Get(index, codes_->GetReplica(socket));
-  return dictionary_->Get(code, dictionary_->GetReplica(socket));
+  return dictionary_->GetReplica(socket)[code];
+}
+
+void DictionaryArray::DecodeCodes(uint64_t begin, uint64_t end, int socket,
+                                  uint64_t* out) const {
+  codes_->RangeUnpack(codes_->GetReplica(socket), begin, end, out);
 }
 
 void DictionaryArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
+  DecodeCodes(begin, end, socket, out);
   const uint64_t* dict = dictionary_->GetReplica(socket);
-  smart::WithBits(codes_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(codes_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      *out++ = smart::BitCompressedArray<64>::GetImpl(dict, it.Get());
-      it.Next();
-    }
-    return 0;
-  });
+  for (uint64_t i = 0; i < end - begin; ++i) {
+    out[i] = dict[out[i]];
+  }
 }
 
-uint64_t DictionaryArray::footprint_bytes() const {
-  return dictionary_->footprint_bytes() + codes_->footprint_bytes();
+smart::Predicate DictionaryArray::ToCodePredicate(smart::Predicate p) const {
+  using smart::CmpOp;
+  const uint64_t* dict = dictionary_->GetReplica(0);
+  const uint64_t* dict_end = dict + dictionary_->length();
+  // Codes [0, below) stand for values < constant, [0, upto) for values <=.
+  const uint64_t below = std::lower_bound(dict, dict_end, p.constant) - dict;
+  const uint64_t upto = std::upper_bound(dict, dict_end, p.constant) - dict;
+  const bool present = below != upto;
+  constexpr smart::Predicate kNone{CmpOp::kLt, 0};
+  constexpr smart::Predicate kAll{CmpOp::kGe, 0};
+  switch (p.op) {
+    case CmpOp::kEq:
+      return present ? smart::Predicate{CmpOp::kEq, below} : kNone;
+    case CmpOp::kNe:
+      return present ? smart::Predicate{CmpOp::kNe, below} : kAll;
+    case CmpOp::kLt:
+      return {CmpOp::kLt, below};
+    case CmpOp::kLe:
+      return {CmpOp::kLt, upto};
+    case CmpOp::kGt:
+      return {CmpOp::kGe, upto};
+    case CmpOp::kGe:
+      return {CmpOp::kGe, below};
+  }
+  return kNone;
+}
+
+uint64_t DictionaryArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                   uint64_t* bitmap) const {
+  return codes_->SelectIf(codes_->GetReplica(socket), begin, end, ToCodePredicate(p), bitmap);
 }
 
 // ---- RunLengthArray ----
@@ -167,27 +208,57 @@ uint64_t RunLengthArray::Get(uint64_t index, int socket) const {
   return run_values_->Get(run, run_values_->GetReplica(socket));
 }
 
-void RunLengthArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
+template <typename Fn>
+void RunLengthArray::ForEachRun(uint64_t begin, uint64_t end, int socket, Fn&& fn) const {
+  if (begin >= end) {
+    return;
+  }
   const uint64_t* starts = run_starts_->GetReplica(socket);
-  const uint64_t* rvalues = run_values_->GetReplica(socket);
-  const auto& starts_codec = smart::CodecFor(run_starts_->bits());
-  const auto& values_codec = smart::CodecFor(run_values_->bits());
-  uint64_t run = FindRun(begin, starts);
+  const uint64_t* values = run_values_->GetReplica(socket);
   const uint64_t num_runs = run_values_->length();
-  uint64_t next_start = run + 1 < num_runs ? starts_codec.get(starts, run + 1) : length_;
-  uint64_t value = values_codec.get(rvalues, run);
-  for (uint64_t i = begin; i < end; ++i) {
-    while (SA_UNLIKELY(i >= next_start)) {
-      ++run;
-      value = values_codec.get(rvalues, run);
-      next_start = run + 1 < num_runs ? starts_codec.get(starts, run + 1) : length_;
+  uint64_t run = FindRun(begin, starts);
+  uint64_t lo = begin;
+  // Runs decode in blocks through RangeUnpack: the values of runs
+  // [run, run + n) and the starts of their successors, which end them.
+  uint64_t block_values[kChunkElems];
+  uint64_t block_ends[kChunkElems];
+  while (lo < end) {
+    // Every run covers at least one element, so [lo, end) spans at most
+    // end - lo of them.
+    const uint64_t n = std::min({uint64_t{kChunkElems}, num_runs - run, end - lo});
+    run_values_->RangeUnpack(values, run, run + n, block_values);
+    const uint64_t with_successor = std::min(n, num_runs - run - 1);
+    run_starts_->RangeUnpack(starts, run + 1, run + 1 + with_successor, block_ends);
+    if (with_successor < n) {
+      block_ends[with_successor] = length_;  // the final run ends the array
     }
-    *out++ = value;
+    for (uint64_t i = 0; i < n && lo < end; ++i) {
+      const uint64_t hi = std::min(end, block_ends[i]);
+      fn(block_values[i], lo, hi);
+      lo = hi;
+    }
+    run += n;
   }
 }
 
-uint64_t RunLengthArray::footprint_bytes() const {
-  return run_starts_->footprint_bytes() + run_values_->footprint_bytes();
+void RunLengthArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const {
+  ForEachRun(begin, end, socket, [&](uint64_t value, uint64_t lo, uint64_t hi) {
+    std::fill(out + (lo - begin), out + (hi - begin), value);
+  });
+}
+
+uint64_t RunLengthArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                                  uint64_t* bitmap) const {
+  SA_DCHECK(begin <= end && end <= length_);
+  ClearBitmap(bitmap, end - begin);
+  uint64_t count = 0;
+  ForEachRun(begin, end, socket, [&](uint64_t value, uint64_t lo, uint64_t hi) {
+    if (smart::Matches(p, value)) {
+      smart::SetBitRange(bitmap, lo - begin, hi - begin);
+      count += hi - lo;
+    }
+  });
+  return count;
 }
 
 // ---- FrameOfReferenceArray ----
@@ -221,29 +292,63 @@ FrameOfReferenceArray::FrameOfReferenceArray(std::span<const uint64_t> values,
 
 uint64_t FrameOfReferenceArray::Get(uint64_t index, int socket) const {
   SA_DCHECK(index < length_);
-  const uint64_t base =
-      smart::BitCompressedArray<64>::GetImpl(bases_->GetReplica(socket), index / kChunkElems);
-  return base + deltas_->Get(index, deltas_->GetReplica(socket));
+  return bases_->GetReplica(socket)[index / kChunkElems] +
+         deltas_->Get(index, deltas_->GetReplica(socket));
 }
 
 void FrameOfReferenceArray::Decode(uint64_t begin, uint64_t end, int socket,
                                    uint64_t* out) const {
+  deltas_->RangeUnpack(deltas_->GetReplica(socket), begin, end, out);
   const uint64_t* bases = bases_->GetReplica(socket);
-  smart::WithBits(deltas_->bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    smart::TypedIterator<kBits> it(deltas_->GetReplica(socket), begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      const uint64_t base =
-          smart::BitCompressedArray<64>::GetImpl(bases, i / kChunkElems);
-      *out++ = base + it.Get();
-      it.Next();
+  ForEachChunkSpan(begin, end, [&](uint64_t chunk, uint64_t lo, uint64_t hi) {
+    const uint64_t base = bases[chunk];
+    for (uint64_t i = lo - begin; i < hi - begin; ++i) {
+      out[i] += base;
     }
-    return 0;
   });
 }
 
-uint64_t FrameOfReferenceArray::footprint_bytes() const {
-  return bases_->footprint_bytes() + deltas_->footprint_bytes();
+uint64_t FrameOfReferenceArray::SelectIf(uint64_t begin, uint64_t end, int socket,
+                                         smart::Predicate p, uint64_t* bitmap) const {
+  SA_DCHECK(begin <= end && end <= length_);
+  ClearBitmap(bitmap, end - begin);
+  // Values are unconstrained 64-bit integers in the absolute domain.
+  const smart::ScanPredicate np = smart::NormalizePredicate(p, 64);
+  if (np.trivial()) {
+    if (np.kind != smart::ScanPredicate::Kind::kAll) {
+      return 0;
+    }
+    smart::SetBitRange(bitmap, 0, end - begin);
+    return end - begin;
+  }
+  const uint32_t delta_bits = deltas_->bits();
+  const smart::CodecOps& codec = smart::CodecFor(delta_bits);
+  const uint64_t* bases = bases_->GetReplica(socket);
+  const uint64_t* deltas = deltas_->GetReplica(socket);
+  uint64_t count = 0;
+  ForEachChunkSpan(begin, end, [&](uint64_t chunk, uint64_t lo, uint64_t hi) {
+    // The frame decides most chunks outright; the rest classify against the
+    // chunk's exact delta zone before any packed word is read.
+    const smart::ScanPredicate dp = smart::TranslateToDelta(np, bases[chunk], delta_bits);
+    smart::ZoneVerdict verdict = smart::ZoneVerdict::kSkip;
+    if (dp.kind == smart::ScanPredicate::Kind::kAll) {
+      verdict = smart::ZoneVerdict::kAllMatch;
+    } else if (!dp.trivial()) {
+      verdict = smart::ClassifyZone(dp, deltas_->ZoneMin(chunk), deltas_->ZoneMax(chunk));
+    }
+    switch (verdict) {
+      case smart::ZoneVerdict::kSkip:
+        break;
+      case smart::ZoneVerdict::kAllMatch:
+        smart::SetBitRange(bitmap, lo - begin, hi - begin);
+        count += hi - lo;
+        break;
+      case smart::ZoneVerdict::kMixed:
+        count += codec.select_if_range(deltas, lo, hi, dp, bitmap, lo - begin);
+        break;
+    }
+  });
+  return count;
 }
 
 }  // namespace sa::encodings

@@ -1,6 +1,12 @@
 // Read-only encoded arrays: a common interface over the alternative
 // compression techniques of §7, all storing their payloads in smart arrays
 // so NUMA placement composes with every encoding.
+//
+// Every payload is packed once at Encode time, chunk by chunk, with its
+// exact [min, max] zone installed, and is never written again. Scans can
+// therefore trust the zones to prune chunks (SmartArray::SelectIf), and
+// every encoding answers predicates on its encoded form (SelectIf) instead
+// of decoding first.
 #ifndef SA_ENCODINGS_ENCODED_ARRAY_H_
 #define SA_ENCODINGS_ENCODED_ARRAY_H_
 
@@ -12,6 +18,7 @@
 #include "encodings/encoding.h"
 #include "platform/topology.h"
 #include "smart/placement.h"
+#include "smart/predicate.h"
 #include "smart/smart_array.h"
 
 namespace sa::encodings {
@@ -30,12 +37,22 @@ class EncodedArray {
   // payload is replicated. `socket` as in SmartArray::GetReplica.
   virtual uint64_t Get(uint64_t index, int socket) const = 0;
 
-  // Decodes [begin, end) into `out` (the scan path; encodings batch their
-  // decode state across the range).
+  // Decodes [begin, end) into `out` (the scan path: payloads decode through
+  // the chunk-streaming SmartArray::RangeUnpack seam).
   virtual void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const = 0;
 
+  // Predicate pushdown on the encoded payload, with the contract of
+  // SmartArray::SelectIf: bit j of `bitmap` = whether element begin+j
+  // matches `p`; the callee zeroes the (end-begin+63)/64 output words
+  // first. Returns the match count.
+  virtual uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                            uint64_t* bitmap) const = 0;
+
+  // The smart arrays holding the encoded payload.
+  virtual std::vector<const smart::SmartArray*> payloads() const = 0;
+
   // Total bytes across all payload arrays and replicas.
-  virtual uint64_t footprint_bytes() const = 0;
+  uint64_t footprint_bytes() const;
 
   // Builds the array with `encoding`, or with the technique ChooseEncoding
   // picks from the data when `encoding` is nullopt (§7's dynamic selection).
@@ -60,25 +77,41 @@ class BitPackedArray final : public EncodedArray {
                  const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
+  std::vector<const smart::SmartArray*> payloads() const override { return {data_.get()}; }
 
  private:
   std::unique_ptr<smart::SmartArray> data_;
 };
 
-// Dictionary encoding: sorted distinct values + bit-packed codes.
+// Dictionary encoding: sorted distinct values + bit-packed codes. Code
+// order is value order, so range predicates map to code ranges and a
+// group-by on codes comes out sorted by value.
 class DictionaryArray final : public EncodedArray {
  public:
   DictionaryArray(std::span<const uint64_t> values, const smart::PlacementSpec& placement,
                   const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
+  std::vector<const smart::SmartArray*> payloads() const override {
+    return {dictionary_.get(), codes_.get()};
+  }
 
   uint64_t dictionary_size() const { return dictionary_->length(); }
   uint32_t code_bits() const { return codes_->bits(); }
 
+  // Decodes the codes of [begin, end) into `out` (code-domain operators).
+  void DecodeCodes(uint64_t begin, uint64_t end, int socket, uint64_t* out) const;
+  // The value `code` stands for.
+  uint64_t code_value(uint64_t code) const { return dictionary_->GetReplica(0)[code]; }
+
  private:
+  // `p` over values as an equivalent predicate over codes.
+  smart::Predicate ToCodePredicate(smart::Predicate p) const;
+
   std::unique_ptr<smart::SmartArray> dictionary_;  // sorted distinct values, 64-bit
   std::unique_ptr<smart::SmartArray> codes_;       // indexes into the dictionary
 };
@@ -91,13 +124,22 @@ class RunLengthArray final : public EncodedArray {
                  const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
+  std::vector<const smart::SmartArray*> payloads() const override {
+    return {run_starts_.get(), run_values_.get()};
+  }
 
   uint64_t num_runs() const { return run_values_->length(); }
 
  private:
   // Index of the run containing `index`.
   uint64_t FindRun(uint64_t index, const uint64_t* starts_replica) const;
+
+  // Calls fn(value, lo, hi) for every run overlapping [begin, end), with
+  // [lo, hi) the overlap, in order.
+  template <typename Fn>
+  void ForEachRun(uint64_t begin, uint64_t end, int socket, Fn&& fn) const;
 
   std::unique_ptr<smart::SmartArray> run_starts_;  // first element index of each run
   std::unique_ptr<smart::SmartArray> run_values_;  // packed run values
@@ -112,7 +154,11 @@ class FrameOfReferenceArray final : public EncodedArray {
                         const platform::Topology& topology);
   uint64_t Get(uint64_t index, int socket) const override;
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
-  uint64_t footprint_bytes() const override;
+  uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
+                    uint64_t* bitmap) const override;
+  std::vector<const smart::SmartArray*> payloads() const override {
+    return {bases_.get(), deltas_.get()};
+  }
 
   uint32_t delta_bits() const { return deltas_->bits(); }
 

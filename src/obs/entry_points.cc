@@ -24,7 +24,7 @@ extern "C" {
 
 int saObsSnapshot(SaObsMetric* out, int cap) {
   using namespace sa::obs;
-  const int total = kCounterIdCount + kGaugeIdCount;
+  const int total = static_cast<int>(kCounterIdCount) + static_cast<int>(kGaugeIdCount);
   int written = 0;
   for (int i = 0; i < kCounterIdCount && written < cap; ++i, ++written) {
     const CounterId id = static_cast<CounterId>(i);

@@ -161,35 +161,6 @@ void ForDeltaArray::RangeUnpack(const uint64_t* replica, uint64_t begin, uint64_
   });
 }
 
-ScanPredicate ForDeltaArray::TranslateToDelta(ScanPredicate p, uint64_t chunk_base) const {
-  SA_DCHECK(!p.trivial());
-  const uint64_t dmax = LowMask(storage_bits());
-  ScanPredicate d = p;
-  if (p.kind == ScanPredicate::Kind::kLt) {
-    if (p.bound <= chunk_base) {
-      d = {ScanPredicate::Kind::kNone, 0, false};  // every v = base + delta >= bound
-    } else if (p.bound - chunk_base > dmax) {
-      d = {ScanPredicate::Kind::kAll, 0, false};  // every delta <= dmax < bound - base
-    } else {
-      d.bound = p.bound - chunk_base;
-    }
-  } else {
-    if (p.bound < chunk_base || p.bound - chunk_base > dmax) {
-      d = {ScanPredicate::Kind::kNone, 0, false};
-    } else {
-      d.bound = p.bound - chunk_base;
-    }
-  }
-  if (d.trivial()) {
-    if (p.invert) {
-      d.kind = d.kind == ScanPredicate::Kind::kNone ? ScanPredicate::Kind::kAll
-                                                    : ScanPredicate::Kind::kNone;
-    }
-    d.invert = false;
-  }
-  return d;
-}
-
 // The FoR scans run their own chunk walk (no run coalescing: the delta
 // translation re-parameterizes the predicate per chunk anyway). Zone maps
 // hold absolute values, so the skip/all-match pruning is identical to the
@@ -213,7 +184,7 @@ uint64_t ForDeltaArray::CountIf(const uint64_t* replica, uint64_t begin, uint64_
     ZoneVerdict verdict = ClassifyZone(np, ZoneMin(chunk), ZoneMax(chunk));
     ScanPredicate dp{};
     if (verdict == ZoneVerdict::kMixed) {
-      dp = TranslateToDelta(np, bases_[chunk]);
+      dp = TranslateToDelta(np, bases_[chunk], storage_bits());
       if (dp.kind == ScanPredicate::Kind::kNone) {
         verdict = ZoneVerdict::kSkip;
       } else if (dp.kind == ScanPredicate::Kind::kAll) {
@@ -269,7 +240,7 @@ uint64_t ForDeltaArray::SelectIf(const uint64_t* replica, uint64_t begin, uint64
     ZoneVerdict verdict = ClassifyZone(np, ZoneMin(chunk), ZoneMax(chunk));
     ScanPredicate dp{};
     if (verdict == ZoneVerdict::kMixed) {
-      dp = TranslateToDelta(np, bases_[chunk]);
+      dp = TranslateToDelta(np, bases_[chunk], storage_bits());
       if (dp.kind == ScanPredicate::Kind::kNone) {
         verdict = ZoneVerdict::kSkip;
       } else if (dp.kind == ScanPredicate::Kind::kAll) {
@@ -318,7 +289,7 @@ uint64_t ForDeltaArray::FilteredSum(const uint64_t* replica, uint64_t begin, uin
     ZoneVerdict verdict = ClassifyZone(np, ZoneMin(chunk), ZoneMax(chunk));
     ScanPredicate dp{};
     if (verdict == ZoneVerdict::kMixed) {
-      dp = TranslateToDelta(np, bases_[chunk]);
+      dp = TranslateToDelta(np, bases_[chunk], storage_bits());
       if (dp.kind == ScanPredicate::Kind::kNone) {
         verdict = ZoneVerdict::kSkip;
       } else if (dp.kind == ScanPredicate::Kind::kAll) {

@@ -64,10 +64,6 @@ class ForDeltaArray final : public SmartArray {
   ForDeltaArray(uint64_t length, PlacementSpec placement, uint32_t bits, uint32_t delta_bits,
                 const platform::Topology& topology, std::vector<uint64_t> bases);
 
-  // Maps an absolute-domain normalized predicate into this chunk's delta
-  // domain (possibly collapsing to kNone/kAll when the frame decides it).
-  ScanPredicate TranslateToDelta(ScanPredicate p, uint64_t chunk_base) const;
-
   // Aborts unless `value` fits `index`'s frame; returns the delta.
   uint64_t DeltaForWrite(uint64_t index, uint64_t value) const;
 

@@ -165,6 +165,41 @@ inline ZoneVerdict ClassifyZone(ScanPredicate p, uint64_t zmin, uint64_t zmax) {
   return ZoneVerdict::kMixed;
 }
 
+// Maps a non-trivial absolute-domain predicate into the delta domain of a
+// frame-of-reference chunk whose elements are `chunk_base + delta` with
+// deltas `delta_bits` wide. The result is trivial (kNone/kAll, never
+// inverted) when the frame alone decides the chunk; otherwise it is a
+// normalized predicate over the deltas, ready for the bit-packed kernels.
+inline ScanPredicate TranslateToDelta(ScanPredicate p, uint64_t chunk_base,
+                                      uint32_t delta_bits) {
+  SA_DCHECK(!p.trivial());
+  const uint64_t dmax = LowMask(delta_bits);
+  ScanPredicate d = p;
+  if (p.kind == ScanPredicate::Kind::kLt) {
+    if (p.bound <= chunk_base) {
+      d = {ScanPredicate::Kind::kNone, 0, false};  // every v = base + delta >= bound
+    } else if (p.bound - chunk_base > dmax) {
+      d = {ScanPredicate::Kind::kAll, 0, false};  // every delta <= dmax < bound - base
+    } else {
+      d.bound = p.bound - chunk_base;
+    }
+  } else {
+    if (p.bound < chunk_base || p.bound - chunk_base > dmax) {
+      d = {ScanPredicate::Kind::kNone, 0, false};
+    } else {
+      d.bound = p.bound - chunk_base;
+    }
+  }
+  if (d.trivial()) {
+    if (p.invert) {
+      d.kind = d.kind == ScanPredicate::Kind::kNone ? ScanPredicate::Kind::kAll
+                                                    : ScanPredicate::Kind::kNone;
+    }
+    d.invert = false;
+  }
+  return d;
+}
+
 // Mask with the low `n` bits set, n in [0, 64] (LowMask requires n >= 1).
 inline uint64_t SliceMask(uint32_t n) { return n == 0 ? 0 : LowMask(n); }
 

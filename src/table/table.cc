@@ -1,54 +1,165 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "common/bits.h"
 #include "common/macros.h"
 #include "rts/parallel_for.h"
+#include "rts/worker_local.h"
+#include "smart/predicate.h"
 
 namespace sa::table {
 namespace {
 
-// Scans decode in fixed vectors of this many rows (a few chunks at a time:
-// large enough to amortize, small enough to stay cache-resident).
-constexpr uint64_t kVectorRows = 4 * kChunkElems;
+// Scans run in grains of this many rows: one pushdown call per predicate
+// and column per grain, with the grain's selection bitmap (256 words) and
+// decode buffers reused across a worker's grains.
+constexpr uint64_t kGrain = rts::kDefaultGrain;
+constexpr uint64_t kGrainWords = kGrain / kWordBits;
 
-// Evaluates a conjunctive predicate set over a decoded row vector, calling
-// fn(row_offset) for every qualifying row.
-template <typename Fn>
-void ForEachMatch(const Table& table, const std::vector<Predicate>& predicates,
-                  const std::vector<const encodings::EncodedArray*>& pred_columns, int socket,
-                  uint64_t begin, uint64_t end, std::vector<std::vector<uint64_t>>* buffers,
-                  const Fn& fn) {
-  const uint64_t count = end - begin;
-  buffers->resize(predicates.size());
-  for (size_t p = 0; p < predicates.size(); ++p) {
-    (*buffers)[p].resize(count);
-    pred_columns[p]->Decode(begin, end, socket, (*buffers)[p].data());
+// The smart predicates a table predicate stands for (kBetween is kGe value
+// AND kLe value2).
+struct Lowered {
+  smart::Predicate terms[2];
+  int count = 1;
+};
+
+Lowered Lower(const Predicate& p) {
+  using smart::CmpOp;
+  switch (p.op) {
+    case Predicate::Op::kEq:
+      return {{{CmpOp::kEq, p.value}}};
+    case Predicate::Op::kNe:
+      return {{{CmpOp::kNe, p.value}}};
+    case Predicate::Op::kLt:
+      return {{{CmpOp::kLt, p.value}}};
+    case Predicate::Op::kLe:
+      return {{{CmpOp::kLe, p.value}}};
+    case Predicate::Op::kGt:
+      return {{{CmpOp::kGt, p.value}}};
+    case Predicate::Op::kGe:
+      return {{{CmpOp::kGe, p.value}}};
+    case Predicate::Op::kBetween:
+      return {{{CmpOp::kGe, p.value}, {CmpOp::kLe, p.value2}}, 2};
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    bool match = true;
-    for (size_t p = 0; p < predicates.size(); ++p) {
-      if (!predicates[p].Matches((*buffers)[p][i])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      fn(i);
-    }
-  }
+  return {{{CmpOp::kLt, 0}}};  // matches nothing
 }
 
-std::vector<const encodings::EncodedArray*> ResolveColumns(
-    const Table& table, const std::vector<Predicate>& predicates) {
-  std::vector<const encodings::EncodedArray*> columns;
-  columns.reserve(predicates.size());
+// One conjunct of a scan: a column and a predicate pushed down into it.
+struct Term {
+  const encodings::EncodedArray* column;
+  smart::Predicate predicate;
+};
+
+std::vector<Term> ToTerms(const Table& table, const std::vector<Predicate>& predicates) {
+  std::vector<Term> terms;
   for (const Predicate& p : predicates) {
-    columns.push_back(&table.column(p.column));
+    const encodings::EncodedArray* column = &table.column(p.column);
+    const Lowered lowered = Lower(p);
+    for (int i = 0; i < lowered.count; ++i) {
+      terms.push_back({column, lowered.terms[i]});
+    }
   }
-  return columns;
+  return terms;
+}
+
+// Per-worker state of one query. Buffers grow (zero-filled) on the
+// worker's first grain and are reused by its later grains.
+struct Scratch {
+  std::vector<uint64_t> selected;  // the grain's conjunction bitmap
+  std::vector<uint64_t> term;      // one term's bitmap
+  std::vector<uint64_t> keys;      // decoded key column (or its codes)
+  std::vector<uint64_t> values;    // decoded value column
+  std::vector<uint64_t> sums;      // group sums by dictionary code
+  std::map<uint64_t, uint64_t> groups;
+  MinMax min_max{~uint64_t{0}, 0};
+};
+
+uint64_t* Reserve(std::vector<uint64_t>& buffer, uint64_t n) {
+  if (buffer.size() < n) {
+    buffer.resize(n);
+  }
+  return buffer.data();
+}
+
+// ANDs every term's selection over rows [b, e) into scratch.selected (bit
+// j = row b + j), with scratch.term as the per-term buffer. Returns the
+// number of selected rows; later terms are skipped once none is left.
+uint64_t SelectGrain(const std::vector<Term>& terms, uint64_t b, uint64_t e, int socket,
+                     Scratch& scratch) {
+  const uint64_t n = e - b;
+  const uint64_t words = (n + kWordBits - 1) / kWordBits;
+  uint64_t* selected = Reserve(scratch.selected, kGrainWords);
+  if (terms.empty()) {
+    std::fill_n(selected, words, uint64_t{0});
+    smart::SetBitRange(selected, 0, n);
+    return n;
+  }
+  uint64_t count = terms[0].column->SelectIf(b, e, socket, terms[0].predicate, selected);
+  uint64_t* term = Reserve(scratch.term, kGrainWords);
+  for (size_t t = 1; t < terms.size() && count > 0; ++t) {
+    terms[t].column->SelectIf(b, e, socket, terms[t].predicate, term);
+    count = 0;
+    for (uint64_t w = 0; w < words; ++w) {
+      selected[w] &= term[w];
+      count += std::popcount(selected[w]);
+    }
+  }
+  return count;
+}
+
+// Sum of rows[j] over the set bits j < n of `selected`.
+uint64_t SumSelected(const uint64_t* rows, const uint64_t* selected, uint64_t n) {
+  uint64_t sum = 0;
+  for (uint64_t w = 0; w * kWordBits < n; ++w) {
+    const uint64_t* word_rows = rows + w * kWordBits;
+    uint64_t mask = selected[w];
+    if (mask == ~uint64_t{0}) {
+      for (uint32_t j = 0; j < kWordBits; ++j) {
+        sum += word_rows[j];
+      }
+      continue;
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      sum += word_rows[std::countr_zero(mask)];
+    }
+  }
+  return sum;
+}
+
+// GroupBySum on a dictionary key: sums accumulate in a dense per-worker
+// array indexed by code, and codes map to keys only at the merge. Codes
+// sort in key order and every code occurs in the column, so the result is
+// already sorted and complete.
+std::vector<std::pair<uint64_t, uint64_t>> GroupByCodes(rts::WorkerPool& pool,
+                                                        const encodings::DictionaryArray& keys,
+                                                        const encodings::EncodedArray& values) {
+  const uint64_t groups = keys.dictionary_size();
+  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
+  rts::ParallelFor(pool, 0, keys.length(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
+    const int socket = pool.worker_socket(worker);
+    Scratch& s = scratch[worker];
+    uint64_t* sums = Reserve(s.sums, groups);
+    uint64_t* codes = Reserve(s.keys, kGrain);
+    uint64_t* rows = Reserve(s.values, kGrain);
+    keys.DecodeCodes(b, e, socket, codes);
+    values.Decode(b, e, socket, rows);
+    for (uint64_t i = 0; i < e - b; ++i) {
+      sums[codes[i]] += rows[i];
+    }
+  });
+  std::vector<std::pair<uint64_t, uint64_t>> result(groups);
+  for (uint64_t code = 0; code < groups; ++code) {
+    result[code].first = keys.code_value(code);
+  }
+  scratch.ForEach([&](int, const Scratch& s) {
+    for (uint64_t code = 0; code < s.sums.size(); ++code) {
+      result[code].second += s.sums[code];
+    }
+  });
+  return result;
 }
 
 }  // namespace
@@ -100,52 +211,40 @@ const encodings::EncodedArray& Table::column(const std::string& name) const {
 }
 
 bool Predicate::Matches(uint64_t v) const {
-  switch (op) {
-    case Op::kEq:
-      return v == value;
-    case Op::kNe:
-      return v != value;
-    case Op::kLt:
-      return v < value;
-    case Op::kLe:
-      return v <= value;
-    case Op::kGt:
-      return v > value;
-    case Op::kGe:
-      return v >= value;
-    case Op::kBetween:
-      return v >= value && v <= value2;
+  const Lowered lowered = Lower(*this);
+  for (int i = 0; i < lowered.count; ++i) {
+    if (!smart::Matches(lowered.terms[i], v)) {
+      return false;
+    }
   }
-  return false;
+  return true;
 }
 
 uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
                     const std::vector<Predicate>& predicates) {
-  const auto columns = ResolveColumns(table, predicates);
+  const std::vector<Term> terms = ToTerms(table, predicates);
+  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
-      pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
-        std::vector<std::vector<uint64_t>> buffers;
-        uint64_t local = 0;
-        ForEachMatch(table, predicates, columns, pool.worker_socket(worker), b, e, &buffers,
-                     [&](uint64_t) { ++local; });
-        return local;
+      pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
+        return SelectGrain(terms, b, e, pool.worker_socket(worker), scratch[worker]);
       });
 }
 
 uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& sum_column,
                   const std::vector<Predicate>& predicates) {
-  const auto columns = ResolveColumns(table, predicates);
+  const std::vector<Term> terms = ToTerms(table, predicates);
   const encodings::EncodedArray& values = table.column(sum_column);
+  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
-      pool, 0, table.num_rows(), kVectorRows, [&](int worker, uint64_t b, uint64_t e) {
+      pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) -> uint64_t {
         const int socket = pool.worker_socket(worker);
-        std::vector<std::vector<uint64_t>> buffers;
-        std::vector<uint64_t> value_buffer(e - b);
-        values.Decode(b, e, socket, value_buffer.data());
-        uint64_t local = 0;
-        ForEachMatch(table, predicates, columns, socket, b, e, &buffers,
-                     [&](uint64_t i) { local += value_buffer[i]; });
-        return local;
+        Scratch& s = scratch[worker];
+        if (SelectGrain(terms, b, e, socket, s) == 0) {
+          return 0;  // the sum column is never decoded for this grain
+        }
+        uint64_t* rows = Reserve(s.values, kGrain);
+        values.Decode(b, e, socket, rows);
+        return SumSelected(rows, s.selected.data(), e - b);
       });
 }
 
@@ -154,47 +253,50 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
                                                       const std::string& value_column) {
   const encodings::EncodedArray& keys = table.column(key_column);
   const encodings::EncodedArray& values = table.column(value_column);
+  if (keys.encoding() == encodings::Encoding::kDictionary) {
+    return GroupByCodes(pool, static_cast<const encodings::DictionaryArray&>(keys), values);
+  }
 
-  std::vector<std::map<uint64_t, uint64_t>> partials(pool.num_workers());
-  rts::ParallelFor(pool, 0, table.num_rows(), kVectorRows,
-                   [&](int worker, uint64_t b, uint64_t e) {
-                     const int socket = pool.worker_socket(worker);
-                     std::vector<uint64_t> key_buffer(e - b);
-                     std::vector<uint64_t> value_buffer(e - b);
-                     keys.Decode(b, e, socket, key_buffer.data());
-                     values.Decode(b, e, socket, value_buffer.data());
-                     auto& groups = partials[worker];
-                     for (uint64_t i = 0; i < e - b; ++i) {
-                       groups[key_buffer[i]] += value_buffer[i];
-                     }
-                   });
+  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
+  rts::ParallelFor(pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
+    const int socket = pool.worker_socket(worker);
+    Scratch& s = scratch[worker];
+    uint64_t* key_rows = Reserve(s.keys, kGrain);
+    uint64_t* rows = Reserve(s.values, kGrain);
+    keys.Decode(b, e, socket, key_rows);
+    values.Decode(b, e, socket, rows);
+    for (uint64_t i = 0; i < e - b; ++i) {
+      s.groups[key_rows[i]] += rows[i];
+    }
+  });
   std::map<uint64_t, uint64_t> merged;
-  for (const auto& partial : partials) {
-    for (const auto& [key, sum] : partial) {
+  scratch.ForEach([&](int, const Scratch& s) {
+    for (const auto& [key, sum] : s.groups) {
       merged[key] += sum;
     }
-  }
+  });
   return {merged.begin(), merged.end()};
 }
 
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column) {
   const encodings::EncodedArray& values = table.column(column);
-  std::vector<MinMax> partials(pool.num_workers(), {~uint64_t{0}, 0});
-  rts::ParallelFor(pool, 0, table.num_rows(), kVectorRows,
-                   [&](int worker, uint64_t b, uint64_t e) {
-                     std::vector<uint64_t> buffer(e - b);
-                     values.Decode(b, e, pool.worker_socket(worker), buffer.data());
-                     auto& mm = partials[worker];
-                     for (const uint64_t v : buffer) {
-                       mm.min = std::min(mm.min, v);
-                       mm.max = std::max(mm.max, v);
-                     }
-                   });
+  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
+  rts::ParallelFor(pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
+    Scratch& s = scratch[worker];
+    uint64_t* rows = Reserve(s.values, kGrain);
+    values.Decode(b, e, pool.worker_socket(worker), rows);
+    MinMax mm = s.min_max;  // a local, so the loop does not store through `rows`' alias
+    for (uint64_t i = 0; i < e - b; ++i) {
+      mm.min = std::min(mm.min, rows[i]);
+      mm.max = std::max(mm.max, rows[i]);
+    }
+    s.min_max = mm;
+  });
   MinMax result{~uint64_t{0}, 0};
-  for (const auto& mm : partials) {
-    result.min = std::min(result.min, mm.min);
-    result.max = std::max(result.max, mm.max);
-  }
+  scratch.ForEach([&](int, const Scratch& s) {
+    result.min = std::min(result.min, s.min_max.min);
+    result.max = std::max(result.max, s.min_max.max);
+  });
   return result;
 }
 

@@ -5,8 +5,9 @@
 // column-scan literature its bit compression comes from [43, 59]. This
 // substrate is that workload made concrete: a read-only table whose columns
 // are EncodedArrays (each picking its own technique and inheriting the NUMA
-// placement), scanned by chunk-decoding vectorized operators on the
-// Callisto-style runtime.
+// placement), scanned on the Callisto-style runtime by operators that
+// evaluate predicates on the encoded payloads (EncodedArray::SelectIf) and
+// decode only the rows a query still needs.
 #ifndef SA_TABLE_TABLE_H_
 #define SA_TABLE_TABLE_H_
 
@@ -59,6 +60,9 @@ class Table {
 
 // ---- Scan operators ----
 
+// A comparison on one column. Scans run it as one smart::Predicate, or as
+// two (kGe value, kLe value2) for kBetween, pushed down into the column's
+// encoding.
 struct Predicate {
   enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kBetween };
 
@@ -78,7 +82,8 @@ uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
 uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& sum_column,
                   const std::vector<Predicate>& predicates);
 
-// SELECT key, SUM(value) GROUP BY key — returned sorted by key.
+// SELECT key, SUM(value) GROUP BY key — returned sorted by key. A
+// dictionary-encoded key column groups on its codes.
 std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, const Table& table,
                                                       const std::string& key_column,
                                                       const std::string& value_column);

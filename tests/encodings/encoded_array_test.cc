@@ -1,4 +1,7 @@
-// Round-trip and footprint properties of every encoding x placement.
+// Round-trip, footprint, zone-map and pushdown properties of every
+// encoding x placement.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -69,11 +72,80 @@ TEST_P(EncodedArrayTest, RoundTripNonChunkAlignedLength) {
   VerifyRoundTrip(values, smart::PlacementSpec::Interleaved());
 }
 
+// Values spread over the whole 64-bit range, both extremes included.
+std::vector<uint64_t> WideData(size_t n) {
+  std::vector<uint64_t> v(n);
+  Xoshiro256 rng(11);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = rng();
+  }
+  v[n / 2] = ~uint64_t{0};
+  v[n - 1] = 0;
+  return v;
+}
+
+// Every payload chunk's zone is exactly its [min, max] after Encode: the
+// precondition for the zone-pruned pushdown scans over the payloads.
+TEST_P(EncodedArrayTest, PayloadZonesAreExact) {
+  for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{50'017}}) {
+    for (const auto& values : {MixedData(n), WideData(n)}) {
+      const auto array =
+          EncodedArray::Encode(values, GetParam(), smart::PlacementSpec::Replicated(), topo_);
+      for (const smart::SmartArray* payload : array->payloads()) {
+        for (int r = 0; r < payload->num_replicas(); ++r) {
+          uint64_t chunk_values[kChunkElems];
+          for (uint64_t chunk = 0; chunk < payload->num_chunks(); ++chunk) {
+            const uint64_t lo = chunk * kChunkElems;
+            const uint64_t hi = std::min<uint64_t>(payload->length(), lo + kChunkElems);
+            payload->RangeUnpack(payload->GetReplica(r), lo, hi, chunk_values);
+            const auto [min, max] = std::minmax_element(chunk_values, chunk_values + (hi - lo));
+            ASSERT_EQ(payload->ZoneMin(chunk), *min) << "n=" << n << " chunk " << chunk;
+            ASSERT_EQ(payload->ZoneMax(chunk), *max) << "n=" << n << " chunk " << chunk;
+          }
+        }
+      }
+    }
+  }
+}
+
+// SelectIf on the encoded payload agrees with the scalar oracle bit for bit,
+// on ranges that start and end mid-chunk, for every operator at the
+// boundary constants; bits past the range stay zero.
+TEST_P(EncodedArrayTest, SelectIfMatchesScalarOracle) {
+  const auto values = MixedData(5'000);
+  const auto array =
+      EncodedArray::Encode(values, GetParam(), smart::PlacementSpec::Replicated(), topo_);
+  const uint64_t min = *std::min_element(values.begin(), values.end());
+  const uint64_t max = *std::max_element(values.begin(), values.end());
+  const uint64_t ranges[][2] = {{0, 5'000}, {37, 4'001}, {64, 128}, {100, 101}, {4'999, 5'000},
+                                {10, 10}};
+  for (const uint64_t c : {uint64_t{0}, min - 1, min, min + 1, (min + max) / 2, max, max + 1,
+                           ~uint64_t{0}}) {
+    for (const smart::CmpOp op : {smart::CmpOp::kEq, smart::CmpOp::kNe, smart::CmpOp::kLt,
+                                  smart::CmpOp::kLe, smart::CmpOp::kGt, smart::CmpOp::kGe}) {
+      const smart::Predicate p{op, c};
+      for (const auto& [begin, end] : ranges) {
+        const uint64_t words = (end - begin + kWordBits - 1) / kWordBits;
+        std::vector<uint64_t> bitmap(words, ~uint64_t{0});  // the callee zeroes it
+        const uint64_t count = array->SelectIf(begin, end, /*socket=*/1, p, bitmap.data());
+        uint64_t want = 0;
+        for (uint64_t j = 0; j < words * kWordBits; ++j) {
+          const bool match = begin + j < end && smart::Matches(p, values[begin + j]);
+          want += match;
+          ASSERT_EQ((bitmap[j / kWordBits] >> (j % kWordBits)) & 1, match ? 1u : 0u)
+              << smart::ToString(op) << " " << c << " [" << begin << ", " << end << ") bit " << j;
+        }
+        ASSERT_EQ(count, want) << smart::ToString(op) << " " << c;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEncodings, EncodedArrayTest,
                          ::testing::Values(Encoding::kBitPacked, Encoding::kDictionary,
                                            Encoding::kRunLength, Encoding::kFrameOfReference),
-                         [](const auto& info) {
-                           std::string name = ToString(info.param);
+                         [](const auto& param_info) {
+                           std::string name = ToString(param_info.param);
                            for (char& c : name) {
                              if (c == '-') {
                                c = '_';
@@ -181,6 +253,38 @@ TEST(FrameOfReferenceTest, DeltaBitsAreChunkLocal) {
   EXPECT_LE(array.delta_bits(), 3u);
   for (size_t i = 0; i < values.size(); ++i) {
     ASSERT_EQ(array.Get(i, 0), values[i]);
+  }
+}
+
+TEST(FrameOfReferenceTest, SelectIfAtFrameEdges) {
+  const auto topo = platform::Topology::Synthetic(1, 2);
+  // Deltas 0..7 in every chunk, so each frame is exactly [base, base + 7]
+  // and the delta width is 3 bits: constants at base - 1, base, base + 7
+  // and base + 8 sit on the edges of the frame translation.
+  std::vector<uint64_t> values(4 * kChunkElems + 9);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = 5 + (i / kChunkElems) * 1'000 + (i * 5) % 8;
+  }
+  FrameOfReferenceArray array(values, smart::PlacementSpec::OsDefault(), topo);
+  ASSERT_EQ(array.delta_bits(), 3u);
+  std::vector<uint64_t> bitmap((values.size() + kWordBits - 1) / kWordBits);
+  for (uint64_t chunk = 0; chunk * kChunkElems < values.size(); ++chunk) {
+    const uint64_t base = 5 + chunk * 1'000;
+    for (const uint64_t c : {base - 1, base, base + 1, base + 6, base + 7, base + 8}) {
+      for (const smart::CmpOp op : {smart::CmpOp::kEq, smart::CmpOp::kNe, smart::CmpOp::kLt,
+                                    smart::CmpOp::kLe, smart::CmpOp::kGt, smart::CmpOp::kGe}) {
+        const smart::Predicate p{op, c};
+        const uint64_t count = array.SelectIf(0, values.size(), 0, p, bitmap.data());
+        uint64_t want = 0;
+        for (size_t i = 0; i < values.size(); ++i) {
+          const bool match = smart::Matches(p, values[i]);
+          want += match;
+          ASSERT_EQ((bitmap[i / kWordBits] >> (i % kWordBits)) & 1, match ? 1u : 0u)
+              << smart::ToString(op) << " " << c << " row " << i;
+        }
+        ASSERT_EQ(count, want) << smart::ToString(op) << " " << c;
+      }
+    }
   }
 }
 
