@@ -4,8 +4,11 @@
 #include <bit>
 #include <cmath>
 
+#include "common/bits.h"
+#include "graph/grain_slice.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
+#include "rts/worker_local.h"
 #include "smart/dispatch.h"
 #include "smart/parallel_ops.h"
 
@@ -24,46 +27,31 @@ void DegreeCentralitySmart(rts::WorkerPool& pool, const CsrView& graph,
                            smart::SmartArray* out, AccessMix* mix) {
   SA_CHECK(out != nullptr && out->length() == graph.num_vertices);
 
-  // Two streaming passes, one per offset array, each specialized on that
-  // array's own width (registry-held begin/rbegin adapt independently, so
-  // they need not share one). Pass 1 writes the forward degree, pass 2 adds
-  // the reverse; the ParallelFor barrier between them orders the read-back.
-  const auto& out_codec = smart::CodecFor(out->bits());
-  const auto pass = [&](const smart::SmartArray& offsets, const bool add) {
-    smart::WithBits(offsets.bits(), [&](auto bits_const) {
-      constexpr uint32_t kBits = bits_const();
-      using Codec = smart::BitCompressedArray<kBits>;
-      rts::ParallelFor(
-          pool, 0, graph.num_vertices, smart::kChunkAlignedGrain,
-          [&](int worker, uint64_t b, uint64_t e) {
-            const int socket = pool.worker_socket(worker);
-            const uint64_t* offsets_rep = offsets.GetReplica(socket);
-            const uint64_t* out_rep = out->GetReplica(socket);
-            const auto emit = [&](uint64_t v, uint64_t diff) {
-              out->Init(v, add ? out_codec.get(out_rep, v) + diff : diff);
-            };
-            // The offset array streams past once through the streaming
-            // decode seam: 65 elements per batch (always valid: the index
-            // arrays have num_vertices()+1 entries), so element v+64 seeds
-            // the chunk-crossing difference for free.
-            uint64_t buf[kChunkElems + 1];
-            uint64_t v = b;
-            for (; v % kChunkElems == 0 && v + kChunkElems <= e; v += kChunkElems) {
-              Codec::UnpackRange(offsets_rep, v, v + kChunkElems + 1, buf);
-              for (uint32_t j = 0; j < kChunkElems; ++j) {
-                emit(v + j, buf[j + 1] - buf[j]);
-              }
-            }
-            // Ragged tail (and any unaligned batch start): element-wise.
-            for (; v < e; ++v) {
-              emit(v, Codec::GetImpl(offsets_rep, v + 1) - Codec::GetImpl(offsets_rep, v));
-            }
-          });
-      return 0;
-    });
-  };
-  pass(*graph.begin, /*add=*/false);
-  pass(*graph.rbegin, /*add=*/true);
+  // One pass: each chunk-aligned grain decodes begin[b, e+1) and
+  // rbegin[b, e+1) in bulk (each at its own width: registry-held offsets
+  // adapt independently) and packs out-degree plus in-degree into `out`
+  // once, exact zones included.
+  rts::WorkerLocal<std::vector<uint64_t>> scratch(pool.num_workers());
+  rts::ParallelFor(
+      pool, 0, graph.num_vertices, smart::kChunkAlignedGrain,
+      [&](int worker, uint64_t b, uint64_t e) {
+        const int socket = pool.worker_socket(worker);
+        std::vector<uint64_t>& buf = scratch[worker];
+        buf.resize(2 * (e - b + 1));
+        uint64_t* fwd = buf.data();  // begin[b, e+1), then the degrees in place
+        uint64_t* rev = fwd + (e - b + 1);
+        smart::UnpackRange(*graph.begin, graph.begin->GetReplica(socket), b, e + 1, fwd);
+        smart::UnpackRange(*graph.rbegin, graph.rbegin->GetReplica(socket), b, e + 1, rev);
+        uint64_t all_bits = 0;
+        for (uint64_t j = 0; j < e - b; ++j) {
+          fwd[j] = (fwd[j + 1] - fwd[j]) + (rev[j + 1] - rev[j]);
+          all_bits |= fwd[j];
+        }
+        // PackRange checks widths only in debug builds; this one always runs.
+        SA_CHECK_MSG((all_bits & ~LowMask(out->bits())) == 0,
+                     "value exceeds the array's bit width");
+        smart::PackRange(*out, b, e, fwd);
+      });
   if (mix != nullptr) {
     // One pure streaming pass over each offset array, nothing else.
     mix->begin_seq += graph.num_vertices + 1;
@@ -113,67 +101,50 @@ PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
   SA_CHECK(n > 0);
   const double base = (1.0 - options.damping) / n;
 
-  // Rank vertex properties: 64-bit smart arrays holding bit-cast doubles.
-  // The scratch/output array is always interleaved (§5.2); the readable one
-  // follows the graph's placement so replication also covers the ranks.
-  auto rank = smart::SmartArray::Allocate(n, graph.begin->placement(), 64, topology);
-  auto next = smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topology);
+  // Rank vertex properties: 64-bit smart arrays holding bit-cast doubles, at
+  // the graph's placement so replication also covers the ranks. Each
+  // iteration packs `next` grain by grain, then the two swap roles.
+  const smart::PlacementSpec placement = graph.begin->placement();
+  auto rank = smart::SmartArray::Allocate(n, placement, 64, topology);
+  auto next = smart::SmartArray::Allocate(n, placement, 64, topology);
   smart::ParallelFill(pool, *rank,
                       [n](uint64_t) { return std::bit_cast<uint64_t>(1.0 / n); });
 
+  const int workers = pool.num_workers();
+  rts::WorkerLocal<std::vector<uint64_t>> scratch(workers);
+  rts::WorkerLocal<std::vector<uint64_t>> ranks_out(workers);
   PageRankResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Only the per-edge path is specialized on its width (it dominates the
-    // run, §5.2); the per-vertex paths go through the runtime codec, whose
-    // dispatch amortizes over a whole neighborhood list. Every array is
-    // decoded at its own width — the pull direction reads rbegin/redge,
-    // whose widths diverge from begin/edge under registry adaptation.
-    const smart::CodecOps& index_codec = smart::CodecFor(graph.rbegin_bits());
-    const smart::CodecOps& degree_codec = smart::CodecFor(graph.degree_bits());
-    const double delta = smart::WithBits(graph.redge_bits(), [&](auto edge_bits_const) -> double {
-      constexpr uint32_t kEdgeBits = edge_bits_const();
+    // rbegin/redge stream through the grain's bulk-decoded slice; only the
+    // per-edge degree gather is specialized on its width (it dominates the
+    // run, §5.2), and rank[u] is a raw 64-bit load.
+    const double delta = smart::WithBits(graph.degree_bits(), [&](auto degree_bits_const) {
+      constexpr uint32_t kDegreeBits = degree_bits_const();
+      using Degree = smart::BitCompressedArray<kDegreeBits>;
       return rts::ParallelReduce<double>(
-          pool, 0, n, rts::kDefaultGrain, [&](int worker, uint64_t b, uint64_t e) {
+          pool, 0, n, smart::kChunkAlignedGrain, [&](int worker, uint64_t b, uint64_t e) {
             const int socket = pool.worker_socket(worker);
             const uint64_t* rank_rep = rank->GetReplica(socket);
             const uint64_t* degree_rep = graph.out_degree->GetReplica(socket);
-            const uint64_t* redge_rep = graph.redge->GetReplica(socket);
-            const uint64_t* rbegin_rep = graph.rbegin->GetReplica(socket);
+            GrainSlice in_edges(*graph.rbegin, *graph.redge, socket, b, e, scratch[worker]);
+            std::vector<uint64_t>& out = ranks_out[worker];
+            out.resize(e - b);
             double local_delta = 0.0;
             for (uint64_t v = b; v < e; ++v) {
-              const uint64_t first = index_codec.get(rbegin_rep, v);
-              const uint64_t last = index_codec.get(rbegin_rep, v + 1);
               double sum = 0.0;
-              // The in-edge list [first, last) streams through the chunk-
-              // granular range kernel: whole chunks decode branch-free, the
-              // rank/degree gathers stay per-element (they are random).
-              smart::BitCompressedArray<kEdgeBits>::ForEachRangeImpl(
-                  redge_rep, first, last, [&](uint64_t u, uint64_t /*ei*/) {
-                    const double r = std::bit_cast<double>(
-                        smart::BitCompressedArray<64>::GetImpl(rank_rep, u));
-                    sum += r / static_cast<double>(degree_codec.get(degree_rep, u));
-                  });
+              in_edges.ForEachTarget(v, [&](uint64_t u) {
+                sum += std::bit_cast<double>(rank_rep[u]) /
+                       static_cast<double>(Degree::GetImpl(degree_rep, u));
+              });
               const double new_rank = base + options.damping * sum;
-              const double old_rank =
-                  std::bit_cast<double>(smart::BitCompressedArray<64>::GetImpl(rank_rep, v));
-              next->Init(v, std::bit_cast<uint64_t>(new_rank));
-              local_delta += std::abs(new_rank - old_rank);
+              out[v - b] = std::bit_cast<uint64_t>(new_rank);
+              local_delta += std::abs(new_rank - std::bit_cast<double>(rank_rep[v]));
             }
+            smart::PackRange(*next, b, e, out.data());
             return local_delta;
           });
     });
-
-    // Publish next -> rank (all replicas), chunk-aligned so writers never
-    // share a word. Both arrays are 64-bit, so a batch is a straight word
-    // copy per replica — the bulk path the compiler turns into wide moves.
-    rts::ParallelFor(pool, 0, n, smart::kChunkAlignedGrain,
-                     [&](int /*worker*/, uint64_t b, uint64_t e) {
-                       const uint64_t* src = next->GetReplica(0);
-                       for (int r = 0; r < rank->num_replicas(); ++r) {
-                         uint64_t* dst = rank->MutableReplica(r);
-                         std::copy(src + b, src + e, dst + b);
-                       }
-                     });
+    rank.swap(next);
 
     result.iterations = iter + 1;
     result.final_delta = delta;
@@ -188,7 +159,7 @@ PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
   if (mix != nullptr) {
     // Pull-based: the reverse pair streams once per iteration, the degree
     // property is gathered at data-dependent sources.
-    mix->rbegin_seq += 2 * iters * n;
+    mix->rbegin_seq += iters * (n + 1);
     mix->redge_seq += iters * graph.num_edges;
     mix->degree_rand += iters * graph.num_edges;
   }

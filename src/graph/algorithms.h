@@ -22,7 +22,8 @@ namespace sa::graph {
 std::vector<uint64_t> DegreeCentrality(const CsrGraph& graph);
 
 // Parallel smart-array version; writes into `out` (length V), which the
-// caller allocates — interleaved, as the paper fixes for output arrays.
+// caller allocates — interleaved, as the paper fixes for output arrays — at
+// a width that holds every degree (checked; a narrower `out` aborts).
 // The CsrView overload is the implementation: it reads only through the
 // view, so a GraphSnapshot caller (concurrent.h) is pinned against mid-run
 // restructures; `mix` optionally accumulates the access tallies.
@@ -50,9 +51,9 @@ PageRankResult PageRank(const CsrGraph& graph, const PageRankOptions& options = 
 
 // Parallel smart-array version. Rank vectors are 64-bit vertex properties
 // (doubles bit-cast into smart arrays, as PGX stores properties off-heap);
-// the output/scratch rank arrays are always interleaved. The CsrView
-// overload is the implementation (snapshot-pin safe, like the rest of the
-// suite); the SmartCsrGraph form forwards to it.
+// the two rank arrays follow the graph's placement and swap roles every
+// iteration. The CsrView overload is the implementation (snapshot-pin safe,
+// like the rest of the suite); the SmartCsrGraph form forwards to it.
 PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
                              const platform::Topology& topology,
                              const PageRankOptions& options = {}, AccessMix* mix = nullptr);

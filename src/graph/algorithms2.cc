@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "common/macros.h"
+#include "graph/grain_slice.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
 #include "rts/worker_local.h"
@@ -14,43 +15,57 @@
 namespace sa::graph {
 namespace {
 
-// Sorted unique neighbors of `v` (forward + reverse lists merged), keeping
-// only ids greater than `floor`, read through the runtime codecs — one per
-// array, since registry-held arrays adapt their widths independently.
-// Returns the number of packed edge-list elements decoded (for the
-// access-mix tally).
-uint64_t NeighborsAbove(const CsrView& g, int socket, uint64_t v, uint64_t floor,
-                        std::vector<uint64_t>* out) {
-  out->clear();
-  const auto& begin_codec = smart::CodecFor(g.begin_bits());
-  const auto& edge_codec = smart::CodecFor(g.edge_bits());
-  const auto& rbegin_codec = smart::CodecFor(g.rbegin_bits());
-  const auto& redge_codec = smart::CodecFor(g.redge_bits());
-  const uint64_t* begin_rep = g.begin->GetReplica(socket);
-  const uint64_t* edge_rep = g.edge->GetReplica(socket);
-  const uint64_t* rbegin_rep = g.rbegin->GetReplica(socket);
-  const uint64_t* redge_rep = g.redge->GetReplica(socket);
+// One CSR array read per element through its runtime codec, at its own
+// width (registry-held arrays adapt their widths independently).
+struct CodecReader {
+  CodecReader(const smart::SmartArray& array, int socket)
+      : codec(smart::CodecFor(array.bits())), replica(array.GetReplica(socket)) {}
+  uint64_t operator()(uint64_t index) const { return codec.get(replica, index); }
+  const smart::CodecOps& codec;
+  const uint64_t* replica;
+};
 
-  uint64_t fwd = begin_codec.get(begin_rep, v);
-  const uint64_t fwd_end = begin_codec.get(begin_rep, v + 1);
-  uint64_t rev = rbegin_codec.get(rbegin_rep, v);
-  const uint64_t rev_end = rbegin_codec.get(rbegin_rep, v + 1);
-  const uint64_t decoded = (fwd_end - fwd) + (rev_end - rev);
-  // Both lists ascend; merge, dedupe, filter.
-  while (fwd < fwd_end || rev < rev_end) {
-    uint64_t next;
-    if (fwd < fwd_end &&
-        (rev >= rev_end || edge_codec.get(edge_rep, fwd) <= redge_codec.get(redge_rep, rev))) {
-      next = edge_codec.get(edge_rep, fwd++);
-    } else {
-      next = redge_codec.get(redge_rep, rev++);
+// The four ordered-adjacency arrays, resolved once per grain. Lists are short
+// (about 8 elements on average), so per-element reads beat a bulk decode per
+// list.
+struct Adjacency {
+  // Sorted unique neighbors of `v` (forward + reverse lists merged), keeping
+  // only ids greater than `floor`. Both list heads stay in locals, so every
+  // element is decoded once. Returns the number of packed edge-list
+  // elements decoded (for the access-mix tally).
+  uint64_t NeighborsAbove(uint64_t v, uint64_t floor, std::vector<uint64_t>* out) const {
+    out->clear();
+    uint64_t fwd = begin(v);
+    const uint64_t fwd_end = begin(v + 1);
+    uint64_t rev = rbegin(v);
+    const uint64_t rev_end = rbegin(v + 1);
+    const uint64_t decoded = (fwd_end - fwd) + (rev_end - rev);
+    // Vertex ids fit 32 bits, so an exhausted list's head is a sentinel
+    // above every id, and the merge takes the smaller head until both end.
+    constexpr uint64_t kDone = ~uint64_t{0};
+    uint64_t f = fwd < fwd_end ? edge(fwd) : kDone;
+    uint64_t r = rev < rev_end ? redge(rev) : kDone;
+    while (f != kDone || r != kDone) {
+      uint64_t next;
+      if (f <= r) {
+        next = f;
+        f = ++fwd < fwd_end ? edge(fwd) : kDone;
+      } else {
+        next = r;
+        r = ++rev < rev_end ? redge(rev) : kDone;
+      }
+      if (next > floor && next != v && (out->empty() || out->back() != next)) {
+        out->push_back(next);
+      }
     }
-    if (next > floor && next != v && (out->empty() || out->back() != next)) {
-      out->push_back(next);
-    }
+    return decoded;
   }
-  return decoded;
-}
+
+  CodecReader begin;
+  CodecReader edge;
+  CodecReader rbegin;
+  CodecReader redge;
+};
 
 // Plain-CSR flavour of the same helper, for the serial reference.
 void NeighborsAboveRef(const CsrGraph& graph, uint64_t v, uint64_t floor,
@@ -278,40 +293,32 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrV
     }
   });
 
-  // One relaxation sweep over one (offsets, targets) pair, each array
-  // decoded at its own width (registry slots adapt independently, so the
-  // forward and reverse pairs can sit at different widths mid-program).
-  // Label propagation converges to the same fixpoint — the per-component
-  // minimum — whatever order the edges relax in, so sweeping the forward
-  // and reverse lists in separate passes preserves the oracle.
+  // One relaxation sweep over one (offsets, targets) pair. Each grain decodes
+  // its offsets and the target slice they bound in bulk, each array at its
+  // own width (registry slots adapt independently, so the forward and
+  // reverse pairs can sit at different widths mid-program); the label reads
+  // stay per-element (random gathers). Label propagation converges to the
+  // same fixpoint — the per-component minimum — whatever order the edges
+  // relax in, so sweeping the forward and reverse lists in separate passes
+  // preserves the oracle.
   std::atomic<bool> changed{false};
+  rts::WorkerLocal<std::vector<uint64_t>> scratch(pool.num_workers());
   const auto sweep = [&](const smart::SmartArray& offsets, const smart::SmartArray& targets) {
-    const auto& offset_codec = smart::CodecFor(offsets.bits());
-    smart::WithBits(targets.bits(), [&](auto target_bits_const) {
-      constexpr uint32_t kTargetBits = target_bits_const();
-      rts::ParallelFor(pool, 0, n, rts::kDefaultGrain, [&](int worker, uint64_t b, uint64_t e) {
-        const int socket = pool.worker_socket(worker);
-        const uint64_t* offsets_rep = offsets.GetReplica(socket);
-        const uint64_t* targets_rep = targets.GetReplica(socket);
-        bool local_changed = false;
-        for (uint64_t v = b; v < e; ++v) {
-          uint64_t m = LoadRelaxed(&label[v]);
-          // The neighbor list streams through the chunk-granular range
-          // kernel; the label reads stay per-element (random gathers).
-          smart::BitCompressedArray<kTargetBits>::ForEachRangeImpl(
-              targets_rep, offset_codec.get(offsets_rep, v), offset_codec.get(offsets_rep, v + 1),
-              [&](uint64_t u, uint64_t /*ei*/) { m = std::min(m, LoadRelaxed(&label[u])); });
-          // Monotone decrease; races only delay convergence.
-          if (m < LoadRelaxed(&label[v])) {
-            StoreRelaxed(&label[v], m);
-            local_changed = true;
-          }
+    rts::ParallelFor(pool, 0, n, rts::kDefaultGrain, [&](int worker, uint64_t b, uint64_t e) {
+      GrainSlice slice(offsets, targets, pool.worker_socket(worker), b, e, scratch[worker]);
+      bool local_changed = false;
+      for (uint64_t v = b; v < e; ++v) {
+        uint64_t m = LoadRelaxed(&label[v]);
+        slice.ForEachTarget(v, [&](uint64_t u) { m = std::min(m, LoadRelaxed(&label[u])); });
+        // Monotone decrease; races only delay convergence.
+        if (m < LoadRelaxed(&label[v])) {
+          StoreRelaxed(&label[v], m);
+          local_changed = true;
         }
-        if (local_changed) {
-          changed.store(true, std::memory_order_relaxed);
-        }
-      });
-      return 0;
+      }
+      if (local_changed) {
+        changed.store(true, std::memory_order_relaxed);
+      }
     });
   };
 
@@ -333,8 +340,8 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrV
   if (mix != nullptr) {
     // A round sweeps every offset array in ascending vertex order and
     // streams both edge lists end to end.
-    mix->begin_seq += 2 * iterations * n;
-    mix->rbegin_seq += 2 * iterations * n;
+    mix->begin_seq += iterations * (n + 1);
+    mix->rbegin_seq += iterations * (n + 1);
     mix->edge_seq += iterations * graph.num_edges;
     mix->redge_seq += iterations * graph.num_edges;
   }
@@ -392,14 +399,18 @@ uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, Access
       pool, 0, graph.num_vertices, rts::kDefaultGrain,
       [&](int worker, uint64_t b, uint64_t e) {
         const int socket = pool.worker_socket(worker);
+        const Adjacency adjacency{{*graph.begin, socket},
+                                  {*graph.edge, socket},
+                                  {*graph.rbegin, socket},
+                                  {*graph.redge, socket}};
         std::vector<uint64_t> nv;
         std::vector<uint64_t> nu;
         TriPartial local;
         for (uint64_t v = b; v < e; ++v) {
-          local.decoded += NeighborsAbove(graph, socket, v, v, &nv);
+          local.decoded += adjacency.NeighborsAbove(v, v, &nv);
           local.offset_reads += 2;
           for (const uint64_t u : nv) {
-            local.decoded += NeighborsAbove(graph, socket, u, u, &nu);
+            local.decoded += adjacency.NeighborsAbove(u, u, &nu);
             local.offset_reads += 2;
             local.triangles += SortedIntersectionSize(nv, nu);
             ++local.intersections;

@@ -53,7 +53,8 @@ CsrGraph ReadEdgeListText(const std::string& path) {
     uint64_t src = 0;
     uint64_t dst = 0;
     SA_CHECK_MSG(static_cast<bool>(fields >> src >> dst), "malformed edge line");
-    SA_CHECK_MSG(src <= ~VertexId{0} && dst <= ~VertexId{0}, "vertex id exceeds 32 bits");
+    // The largest 32-bit id is rejected too: n = max_vertex + 1 must fit.
+    SA_CHECK_MSG(src < ~VertexId{0} && dst < ~VertexId{0}, "vertex id exceeds 32 bits");
     edges.emplace_back(static_cast<VertexId>(src), static_cast<VertexId>(dst));
     max_vertex = std::max({max_vertex, static_cast<VertexId>(src), static_cast<VertexId>(dst)});
   }
@@ -82,6 +83,13 @@ CsrGraph ReadEdgeListBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&header), sizeof(header));
   SA_CHECK_MSG(in.good() && header.magic == kEdgeListMagic, "not a smartarrays edge list");
   SA_CHECK_MSG(header.version == 1, "unsupported edge list version");
+  // Check the claimed edge count against the bytes left before reserving.
+  const std::streamoff body_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto body_bytes = static_cast<uint64_t>(in.tellg() - body_begin);
+  in.seekg(body_begin);
+  SA_CHECK_MSG(header.num_edges <= body_bytes / (2 * sizeof(VertexId)),
+               "binary edge list truncated");
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(header.num_edges);
   for (uint64_t e = 0; e < header.num_edges; ++e) {

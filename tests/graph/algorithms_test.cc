@@ -1,10 +1,12 @@
 // Algorithm correctness: smart-array parallel kernels vs serial references,
 // across placements and compression variants.
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "common/bits.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 
@@ -47,6 +49,29 @@ TEST_F(AlgorithmsTest, DegreeCentralitySmartMatchesReferenceAcrossVariants) {
       }
     }
   }
+}
+
+// `out` may be exactly as wide as the largest degree needs. One bit
+// narrower, the call dies on the always-on width check, as writes through
+// Init do.
+TEST_F(AlgorithmsTest, DegreeCentralitySmartHonorsOutputWidth) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // the pool's threads
+  const auto want = DegreeCentrality(csr_);
+  const uint32_t bits = BitsForValue(*std::max_element(want.begin(), want.end()));
+  ASSERT_GT(bits, 1u);
+  SmartGraphOptions options;
+  options.compress_indexes = true;
+  const SmartCsrGraph g(csr_, options, topo_, pool_);
+  auto exact = smart::SmartArray::Allocate(csr_.num_vertices(),
+                                           smart::PlacementSpec::Interleaved(), bits, topo_);
+  DegreeCentralitySmart(pool_, g, exact.get());
+  for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
+    ASSERT_EQ(exact->Get(v, exact->GetReplica(0)), want[v]) << "vertex " << v;
+  }
+  auto narrow = smart::SmartArray::Allocate(
+      csr_.num_vertices(), smart::PlacementSpec::Interleaved(), bits - 1, topo_);
+  EXPECT_DEATH(DegreeCentralitySmart(pool_, g, narrow.get()),
+               "value exceeds the array's bit width");
 }
 
 TEST_F(AlgorithmsTest, PageRankReferenceProperties) {

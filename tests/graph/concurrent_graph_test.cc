@@ -19,8 +19,10 @@
 #include "graph/concurrent.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
+#include "graph/grain_slice.h"
 #include "graph/smart_graph.h"
 #include "platform/topology.h"
+#include "rts/parallel_for.h"
 #include "rts/worker_pool.h"
 #include "runtime/daemon.h"
 #include "runtime/registry.h"
@@ -267,32 +269,48 @@ TEST_F(ConcurrentGraphTest, PinnedSnapshotSurvivesConcurrentPublish) {
 // Released snapshots flush their per-array access tallies into the slots'
 // workload counters — the channel the daemon adapts through. Different
 // algorithms leave recognizably different mixes: degree centrality streams
-// the offset arrays and never touches edges; PageRank gathers the degree
-// property at random.
+// the offset arrays once and never touches edges; PageRank streams the
+// reverse pair once per iteration and gathers the degree property at every
+// in-edge. The tallies are exact: they are what the daemon adapts from.
 TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   const CsrGraph csr = UniformRandomGraph(/*num_vertices=*/200, /*out_degree=*/3, /*seed=*/4);
   RegistryCsrGraph g(registry_, "mix", csr, SmartGraphOptions{});
-  // Slot order: begin, edge, rbegin, redge, deg. Drop the upload's writes.
-  for (runtime::ArraySlot* slot : g.slots()) {
-    slot->DrainSample();
-  }
+  const auto drain = [&g] {
+    std::vector<runtime::SlotSample> samples;
+    for (runtime::ArraySlot* slot : g.slots()) {
+      samples.push_back(slot->DrainSample());
+    }
+    return samples;
+  };
+  drain();  // drop the upload's writes
+  const uint64_t offsets = csr.num_vertices() + 1;
+  const uint64_t edges = csr.num_edges();
 
   GraphSnapshot snapshot = g.Pin();
   DegreeCentrality(pool_, snapshot, topo_);
   snapshot.Release();
-  runtime::SlotSample begin_sample = g.slots()[0]->DrainSample();
-  runtime::SlotSample edge_sample = g.slots()[1]->DrainSample();
-  EXPECT_GE(begin_sample.sequential_reads, csr.num_vertices() + 1);
-  EXPECT_EQ(begin_sample.random_reads, 0u);
-  EXPECT_EQ(edge_sample.reads(), 0u);
+  // Slot order: begin, edge, rbegin, redge, deg.
+  std::vector<runtime::SlotSample> s = drain();
+  EXPECT_EQ(s[0].sequential_reads, offsets);
+  EXPECT_EQ(s[0].random_reads, 0u);
+  EXPECT_EQ(s[2].sequential_reads, offsets);
+  EXPECT_EQ(s[2].random_reads, 0u);
+  EXPECT_EQ(s[1].reads(), 0u);
+  EXPECT_EQ(s[3].reads(), 0u);
+  EXPECT_EQ(s[4].reads(), 0u);
 
   snapshot = g.Pin();
-  PageRank(pool_, snapshot, topo_);
+  const uint64_t iters = static_cast<uint64_t>(PageRank(pool_, snapshot, topo_).iterations);
   snapshot.Release();
-  runtime::SlotSample degree_sample = g.slots()[4]->DrainSample();
-  runtime::SlotSample redge_sample = g.slots()[3]->DrainSample();
-  EXPECT_GT(degree_sample.random_reads, 0u);
-  EXPECT_GT(redge_sample.sequential_reads, 0u);
+  s = drain();
+  EXPECT_EQ(s[4].random_reads, iters * edges);
+  EXPECT_EQ(s[4].sequential_reads, 0u);
+  EXPECT_EQ(s[3].sequential_reads, iters * edges);
+  EXPECT_EQ(s[3].random_reads, 0u);
+  EXPECT_EQ(s[2].sequential_reads, iters * offsets);
+  EXPECT_EQ(s[2].random_reads, 0u);
+  EXPECT_EQ(s[0].reads(), 0u);
+  EXPECT_EQ(s[1].reads(), 0u);
 }
 
 // RegistryCsrGraph seals its five slots after upload, so the daemon's §6.1
@@ -353,6 +371,86 @@ TEST_F(ConcurrentGraphTest, LiveDaemonTraversalsStayConsistent) {
   // it left behind.
   ExpectMatchesReference(gu, uniform, /*source=*/0, uniform_ref, "uniform post-stop");
   ExpectMatchesReference(gs, skewed, /*source=*/1, skewed_ref, "skewed post-stop");
+}
+
+// Every other graph in this file fits one 16,384-vertex grain, so the
+// kernels' bulk-decoded slices never cross a grain or decode-block boundary
+// there. This graph spans four grains (3·kDefaultGrain + 37 vertices, about
+// 200k edges) and adds the shapes that stress the slice bookkeeping: a hub
+// whose in-list spans several decode blocks, a run of zero-degree vertices
+// longer than a block that straddles a grain boundary, and an isolated last
+// vertex. The fixture is named apart from ConcurrentGraph* so the TSan lane's
+// filter does not pick up its larger graph.
+class MultiGrainGraphTest : public ConcurrentGraphTest {
+ protected:
+  static constexpr VertexId kVertices = 3 * rts::kDefaultGrain + 37;
+  static constexpr VertexId kQuietBegin = rts::kDefaultGrain - 2000;
+  static constexpr VertexId kQuietEnd = rts::kDefaultGrain + 3000;
+  static constexpr VertexId kHub = rts::kDefaultGrain + 5000;
+  static constexpr uint64_t kHubInDegree = 3 * GrainSlice::kEdgeBlock + 500;
+
+  static CsrGraph MultiGrainGraph() {
+    const CsrGraph base = PowerLawGraph(kVertices, /*num_edges=*/240'000, /*alpha=*/0.5,
+                                        /*seed=*/17);
+    const auto quiet = [](VertexId v) {
+      return (v >= kQuietBegin && v < kQuietEnd) || v == kVertices - 1;
+    };
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (VertexId v = 0; v < kVertices; ++v) {
+      for (EdgeId e = base.begin()[v]; e < base.begin()[v + 1]; ++e) {
+        if (!quiet(v) && !quiet(base.edge()[e])) {
+          edges.emplace_back(v, base.edge()[e]);
+        }
+      }
+    }
+    // The hub's in-edges come from the third grain, whose ids are all
+    // above it, so triangle counting merges its long list only once.
+    for (uint64_t k = 0; k < kHubInDegree; ++k) {
+      edges.emplace_back(static_cast<VertexId>(2 * rts::kDefaultGrain + k), kHub);
+    }
+    return CsrGraph::FromEdges(kVertices, std::move(edges));
+  }
+};
+
+TEST_F(MultiGrainGraphTest, KernelsMatchReferencesAcrossGrainsAndDecodeBlocks) {
+  const CsrGraph csr = MultiGrainGraph();
+  ASSERT_GE(csr.InDegree(kHub), kHubInDegree);
+  ASSERT_GT(kQuietEnd - kQuietBegin, GrainSlice::kEdgeBlock);
+  for (VertexId v = kQuietBegin; v < kQuietEnd; ++v) {
+    ASSERT_EQ(csr.OutDegree(v) + csr.InDegree(v), 0u) << v;
+  }
+  ASSERT_EQ(csr.OutDegree(kVertices - 1) + csr.InDegree(kVertices - 1), 0u);
+  ASSERT_GT(csr.num_edges(), 180'000u);
+  const Reference ref = ComputeReference(csr, /*source=*/0);
+
+  const struct {
+    const char* tier;
+    bool compress_indexes;
+    bool compress_edges;
+  } tiers[] = {{"V", true, false}, {"V+E", true, true}, {"U", false, false}};
+  for (const auto& tier : tiers) {
+    SmartGraphOptions options;
+    options.compress_indexes = tier.compress_indexes;
+    options.compress_edges = tier.compress_edges;
+    RegistryCsrGraph g(registry_, std::string("grains.") + tier.tier, csr, options);
+    ExpectMatchesReference(g, csr, /*source=*/0, ref, tier.tier);
+    if (!tier.compress_indexes) {
+      // As in DaemonRestructurePreservesAnswersAcrossPins: the U tier has
+      // room to narrow, and each slot narrows to its own data width.
+      AdaptationDaemon daemon = MakeDaemon();
+      int published = 0;
+      for (runtime::ArraySlot* slot : g.slots()) {
+        published += daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)) ? 1 : 0;
+      }
+      ASSERT_GT(published, 0);
+      GraphSnapshot after = g.Pin();
+      const CsrView view = after.view();
+      EXPECT_NE(view.begin_bits(), view.edge_bits());
+      EXPECT_NE(view.begin_bits(), view.degree_bits());
+      after.Release();
+      ExpectMatchesReference(g, csr, /*source=*/0, ref, "post-adaptation");
+    }
+  }
 }
 
 }  // namespace

@@ -91,6 +91,34 @@ TEST_F(GraphIoTest, RejectsGarbage) {
   EXPECT_DEATH(ReadEdgeListBinary(Path("missing.bin")), "open");
 }
 
+// The largest 32-bit id would wrap the vertex count (max id + 1) to zero.
+TEST_F(GraphIoTest, TextRejectsLargestVertexId) {
+  {
+    std::ofstream out(Path("wrap.txt"));
+    out << "0 1\n1 4294967295\n";
+  }
+  EXPECT_DEATH(ReadEdgeListText(Path("wrap.txt")), "vertex id exceeds 32 bits");
+}
+
+// A header claiming more edges than the file holds is refused before any
+// storage is reserved for them.
+TEST_F(GraphIoTest, BinaryRejectsEdgeCountBeyondFileSize) {
+  struct Header {  // the on-disk header layout of io.cc
+    uint32_t magic = kEdgeListMagic;
+    uint32_t version = 1;
+    uint32_t num_vertices = 2;
+    uint64_t num_edges = uint64_t{1} << 40;
+  };
+  {
+    std::ofstream out(Path("huge.bin"), std::ios::binary);
+    const Header header;
+    const uint32_t pair[2] = {0, 1};
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(pair), sizeof(pair));
+  }
+  EXPECT_DEATH(ReadEdgeListBinary(Path("huge.bin")), "binary edge list truncated");
+}
+
 TEST_F(GraphIoTest, StatsReportWidths) {
   const CsrGraph g = UniformRandomGraph(1000, 3, 7);
   const GraphStats stats = ComputeStats(g);
