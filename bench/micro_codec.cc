@@ -1,11 +1,12 @@
 // Microbenchmarks of the bit-compression codec (Functions 1-3): getter,
 // initializer, and chunk unpack across representative widths, plus the
 // 32/64-bit specializations, and the chunk-granular aggregation kernels
-// (scalar-iterator vs block kernel vs AVX2).
+// (scalar-iterator vs block kernel vs the SIMD kinds).
 //
 // The binary has a custom main: before running google-benchmark it times
-// the sum kernels (scalar iterator, block, the retired AVX2 gather, the v2
-// shift network, and the measured selection) plus both streaming-seam
+// the sum kernels (scalar iterator, block, the AVX2 v2 shift network and
+// the AVX-512 lane decode where the host runs them, and the measured
+// selection) plus both streaming-seam
 // directions (unpack-range / pack-range) at every width 1..64, and writes
 // BENCH_codec.json (a JSON array, one object per {width, placement, kernel}
 // config with bytes/s of compressed data processed). SA_BENCH_FAST=1
@@ -135,7 +136,7 @@ BENCHMARK(BM_CodecUnpack)->Arg(7)->Arg(10)->Arg(32)->Arg(33)->Arg(50)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // Aggregation kernels: scalar buffered iterator vs chunk-granular block
-// kernel vs AVX2, over the same packed words.
+// kernel vs the SIMD kinds, over the same packed words.
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kSumElems = 1 << 20;
@@ -167,32 +168,14 @@ uint64_t PackRangeRun(std::vector<uint64_t>& words, uint32_t bits, const uint64_
   return words[0];
 }
 
-#if defined(SA_HAVE_AVX2_KERNELS)
-uint64_t V2Sum(const std::vector<uint64_t>& words, uint32_t bits) {
-  return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
-    return sa::smart::BitCompressedArray<bits_const()>::SumRangeV2(words.data(), 0, kSumElems);
-  });
+// Sum through one kernel kind's range walker, whether or not the table
+// selected it. Only call where KindRunnable(bits, kind).
+uint64_t KindSum(const std::vector<uint64_t>& words, uint32_t bits, sa::smart::KernelKind kind) {
+  return sa::smart::CandidateKernels(bits, kind)->sum_range(words.data(), 0, kSumElems);
 }
 
-// The retired PR-1 gather decoder, kept addressable purely so the JSON can
-// show v2 vs gather on the same machine.
-uint64_t GatherSum(const std::vector<uint64_t>& words, uint32_t bits) {
-  return sa::smart::WithBits(bits, [&](auto bits_const) -> uint64_t {
-    constexpr uint32_t kBits = bits_const();
-    uint64_t sum = 0;
-    for (uint64_t chunk = 0; chunk < kSumElems / sa::kChunkElems; ++chunk) {
-      sum += sa::smart::avx2::SumChunkGather<kBits>(words.data() +
-                                                    chunk * sa::WordsPerChunk(kBits));
-    }
-    return sum;
-  });
-}
-#endif
-
-bool V2Runnable(uint32_t bits) {
-  return sa::smart::WithBits(bits, [](auto bits_const) {
-    return sa::smart::BitCompressedArray<bits_const()>::HasV2Kernels();
-  });
+bool KindRunnable(uint32_t bits, sa::smart::KernelKind kind) {
+  return sa::smart::CandidateKernels(bits, kind) != nullptr;
 }
 
 void BM_SumScalarIterator(benchmark::State& state) {
@@ -219,18 +202,16 @@ BENCHMARK(BM_SumBlockKernel)->Arg(7)->Arg(13)->Arg(17)->Arg(33)->Arg(50)->Arg(64
 
 void BM_SumV2(benchmark::State& state) {
   const auto bits = static_cast<uint32_t>(state.range(0));
-  if (!V2Runnable(bits)) {
+  if (!KindRunnable(bits, sa::smart::KernelKind::kAvx2V2)) {
     state.SkipWithError("no v2 kernel on this host/width");
     return;
   }
-#if defined(SA_HAVE_AVX2_KERNELS)
   const auto words = MakeWords(kSumElems, bits);
   for (auto _ : state) {
-    uint64_t sum = V2Sum(words, bits);
+    uint64_t sum = KindSum(words, bits, sa::smart::KernelKind::kAvx2V2);
     benchmark::DoNotOptimize(sum);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kSumElems * bits / 8));
-#endif
 }
 BENCHMARK(BM_SumV2)->Arg(7)->Arg(13)->Arg(17)->Arg(33)->Arg(50);
 
@@ -446,37 +427,35 @@ void WriteBenchJson(const char* path) {
     for (uint64_t i = 0; i < kSumElems; ++i) {
       buffer[i] = sa::SplitMix64(i) & sa::LowMask(bits);
     }
-    // Every series for this width: the scalar baselines, both AVX2
-    // generations (where they exist), and the streaming seam in both
+    // Every series for this width: the scalar baselines, each SIMD kernel
+    // kind the host can run at this width, and the streaming seam in both
     // directions.
     std::vector<std::pair<const char*, std::function<uint64_t()>>> series;
     series.emplace_back("scalar-iterator", [&] { return IteratorSum(words, bits); });
     series.emplace_back("block", [&] { return BlockSum(words, bits); });
-#if defined(SA_HAVE_AVX2_KERNELS)
-    if (V2Runnable(bits)) {
-      series.emplace_back("avx2-gather", [&] { return GatherSum(words, bits); });
-      series.emplace_back("avx2-v2", [&] { return V2Sum(words, bits); });
+    for (const auto kind : {sa::smart::KernelKind::kAvx2V2, sa::smart::KernelKind::kAvx512}) {
+      if (KindRunnable(bits, kind)) {
+        series.emplace_back(sa::smart::ToString(kind),
+                            [&words, bits, kind] { return KindSum(words, bits, kind); });
+      }
     }
-#endif
     series.emplace_back("unpack-range", [&] { return UnpackRangeSum(words, bits, buffer.data()); });
     series.emplace_back("pack-range", [&] { return PackRangeRun(words, bits, buffer.data()); });
 
     const std::vector<double> bps = MeasureInterleaved(bits, series);
-    double block_bps = 0.0, v2_bps = 0.0;
-    for (size_t i = 0; i < series.size(); ++i) {
-      emit(series[i].first, bps[i]);
-      if (std::strcmp(series[i].first, "block") == 0) {
-        block_bps = bps[i];
-      } else if (std::strcmp(series[i].first, "avx2-v2") == 0) {
-        v2_bps = bps[i];
-      }
-    }
     // "selected" is whatever the measured table bound for this width — the
     // same function pointer as one of the series above, so reuse that
     // series' number rather than manufacturing a noise gap between two
     // timings of identical code.
-    emit("selected",
-         sa::smart::KernelsFor(bits).kind == sa::smart::KernelKind::kAvx2V2 ? v2_bps : block_bps);
+    const char* selected_series = sa::smart::ToString(sa::smart::KernelsFor(bits).kind);
+    double selected_bps = 0.0;
+    for (size_t i = 0; i < series.size(); ++i) {
+      emit(series[i].first, bps[i]);
+      if (std::strcmp(series[i].first, selected_series) == 0) {
+        selected_bps = bps[i];
+      }
+    }
+    emit("selected", selected_bps);
   }
 
   // Scan series: one pair of entries per {distribution, selectivity} point,

@@ -10,10 +10,15 @@ CpuFeatures Detect() {
   CpuFeatures features;
 #if defined(__x86_64__) || defined(__i386__)
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
+  features.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                    __builtin_cpu_supports("avx512bw") != 0 &&
+                    __builtin_cpu_supports("avx512vl") != 0 &&
+                    __builtin_cpu_supports("avx512dq") != 0 &&
+                    __builtin_cpu_supports("avx512vbmi") != 0;
 #endif
   const char* disable = std::getenv("SA_DISABLE_AVX2");
   if (disable != nullptr && std::strcmp(disable, "0") != 0) {
-    features.avx2 = false;
+    features = CpuFeatures{};
   }
   return features;
 }

@@ -1,10 +1,10 @@
 // Runtime CPU feature detection for the kernel dispatch layer.
 //
-// The chunk-granular aggregation kernels (smart/bit_compressed_array.h) ship
-// both a portable scalar block path and an AVX2 path compiled with a
-// per-function target attribute, so the library builds without -mavx2 and
-// still runs on machines without AVX2. Which path executes is decided once
-// per process from CPUID, here.
+// The chunk-granular codec kernels (smart/bit_compressed_array.h) ship a
+// portable scalar block path plus AVX2 and AVX-512 paths compiled with
+// per-function target attributes, so the library builds without -mavx2 or
+// -mavx512* and still runs on machines without them. Which paths may execute
+// is decided once per process from CPUID, here.
 #ifndef SA_COMMON_CPU_FEATURES_H_
 #define SA_COMMON_CPU_FEATURES_H_
 
@@ -12,12 +12,15 @@ namespace sa {
 
 struct CpuFeatures {
   bool avx2 = false;
+  // AVX-512 F + BW + VL + DQ + VBMI: every instruction the 32-bit-lane
+  // decode (smart/chunk_kernels_avx512.h) uses, vpermb included.
+  bool avx512 = false;
 };
 
 // Features of the host CPU, probed once (thread-safe, cached) and merged
 // with the SA_DISABLE_AVX2 environment override: setting SA_DISABLE_AVX2 to
-// any value other than "0" forces the scalar block kernels, which is how CI
-// covers the fallback path on AVX2-capable runners.
+// any value other than "0" clears both flags, forcing the scalar block
+// kernels, which is how CI covers the fallback path on SIMD-capable runners.
 const CpuFeatures& HostCpuFeatures();
 
 }  // namespace sa

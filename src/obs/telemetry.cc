@@ -97,6 +97,7 @@ constexpr const char* kCounterNames[kCounterIdCount] = {
     "sa_daemon_flap_holds_total",
     "sa_daemon_decisions_scored_total",
     "sa_adaptive_keep_current_margin_total",
+    "sa_kernel_select_avx512_total",
 };
 
 constexpr const char* kGaugeNames[kGaugeIdCount] = {

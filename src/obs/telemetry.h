@@ -75,6 +75,7 @@ enum CounterId : int {
   kDaemonFlapHolds,        // accepted-worthy decisions suppressed by hold-down
   kDaemonDecisionsScored,  // published decisions scored realized-vs-predicted
   kAdaptiveKeepMargin,     // AdaptiveArray keep-current due to hysteresis
+  kKernelSelectAvx512,     // widths whose sum kernels calibrated to AVX-512
   kCounterIdCount,
 };
 

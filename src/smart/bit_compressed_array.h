@@ -22,10 +22,10 @@
 #include <utility>
 
 #include "common/bits.h"
-#include "common/cpu_features.h"
 #include "common/macros.h"
 #include "obs/telemetry.h"
 #include "smart/chunk_kernels_avx2.h"
+#include "smart/chunk_kernels_avx512.h"
 #include "smart/kernel_table.h"
 #include "smart/predicate.h"
 #include "smart/smart_array.h"
@@ -239,8 +239,8 @@ class BitCompressedArray final : public SmartArray {
   // out[64] buffer, no per-element buffered-chunk branch, no div/mod — and
   // are the layer ParallelSum/ParallelSum2, the graph property scans, and
   // the saArraySumRange entry point all sit on. SumRange/Sum2Range dispatch
-  // once per call to the AVX2 kernels when the host supports them (probed a
-  // single time per process, sa::HostCpuFeatures).
+  // once per call to the kernel kind the measured table bound for this
+  // width (smart/kernel_table.h).
 
   // Sum of the 64 elements of `chunk`. Widths with native layouts collapse
   // to popcount (1) or native-integer loops (8/16/32/64); the generic path
@@ -300,16 +300,14 @@ class BitCompressedArray final : public SmartArray {
 
   // Sum of elements [begin, end) using the scalar block kernels.
   static uint64_t SumRangeImpl(const uint64_t* replica, uint64_t begin, uint64_t end) {
-    return SumRangeWith(replica, begin, end,
-                        [](const uint64_t* r, uint64_t chunk) { return SumChunkImpl(r, chunk); });
+    return SumRangeWith<BlockKernels>(replica, begin, end);
   }
 
   // Fused two-array element-wise sum over [begin, end): sum of
   // r1[i] + r2[i], chunk-interleaved so both streams stay hot.
   static uint64_t Sum2RangeImpl(const uint64_t* r1, const uint64_t* r2, uint64_t begin,
                                 uint64_t end) {
-    return Sum2RangeWith(r1, r2, begin, end,
-                         [](const uint64_t* r, uint64_t chunk) { return SumChunkImpl(r, chunk); });
+    return Sum2RangeWith<BlockKernels>(r1, r2, begin, end);
   }
 
   // ---- Predicate chunk kernels (pushdown scans) ----
@@ -369,216 +367,46 @@ class BitCompressedArray final : public SmartArray {
     return sum;
   }
 
-  // ---- Predicate range walkers (dispatching) ----
+  // ---- Kernel kinds ----
   //
-  // The kernel table binds the chunk-mask flavour (block vs v2) once per
-  // width; the walkers below slice the full-chunk mask at ragged edges.
-  // Trivial predicates (kNone/kAll after normalization) answer in closed
-  // form. SelectIfRange only ORs bits in — callers zero the buffer, which
-  // is what lets chunk-aligned parallel grains share one bitmap.
-
-  static uint64_t CountIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                               ScanPredicate p) {
-    SA_DCHECK(begin <= end);
-    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
-      return 0;
-    }
-    if (p.kind == ScanPredicate::Kind::kAll) {
-      return end - begin;
-    }
-    const auto match_mask = KernelsFor(BITS).match_mask_chunk;
-    const bool is_eq = p.kind == ScanPredicate::Kind::kEq;
-    uint64_t count = 0;
-    uint64_t chunk = begin / kChunkElems;
-    const auto head = static_cast<uint32_t>(begin % kChunkElems);
-    if (head != 0) {
-      const auto hi =
-          static_cast<uint32_t>(std::min<uint64_t>(kChunkElems, head + (end - begin)));
-      const uint64_t m = match_mask(replica, chunk, p.bound, is_eq, p.invert);
-      count += static_cast<uint64_t>(std::popcount((m >> head) & SliceMask(hi - head)));
-      begin += hi - head;
-      ++chunk;
-      if (begin >= end) {
-        return count;
-      }
-    }
-    for (; begin + kChunkElems <= end; begin += kChunkElems, ++chunk) {
-      count += static_cast<uint64_t>(
-          std::popcount(match_mask(replica, chunk, p.bound, is_eq, p.invert)));
-    }
-    if (begin < end) {
-      const uint64_t m = match_mask(replica, chunk, p.bound, is_eq, p.invert);
-      count += static_cast<uint64_t>(
-          std::popcount(m & SliceMask(static_cast<uint32_t>(end - begin))));
-    }
-    return count;
-  }
-
-  // Emits the match bit of every element of [begin, end) into `bitmap` at
-  // consecutive bit positions starting at `bit_offset`; returns the match
-  // count. Bits are OR-ed (caller zeroes the buffer).
-  static uint64_t SelectIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                                ScanPredicate p, uint64_t* bitmap, uint64_t bit_offset) {
-    SA_DCHECK(begin <= end);
-    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
-      return 0;
-    }
-    if (p.kind == ScanPredicate::Kind::kAll) {
-      uint64_t pos = bit_offset;
-      for (uint64_t n = end - begin; n > 0;) {
-        const auto step = static_cast<uint32_t>(std::min<uint64_t>(n, kWordBits));
-        EmitMaskBits(bitmap, pos, ~uint64_t{0}, step);
-        pos += step;
-        n -= step;
-      }
-      return end - begin;
-    }
-    const auto match_mask = KernelsFor(BITS).match_mask_chunk;
-    const bool is_eq = p.kind == ScanPredicate::Kind::kEq;
-    uint64_t count = 0;
-    uint64_t pos = bit_offset;
-    uint64_t chunk = begin / kChunkElems;
-    const auto head = static_cast<uint32_t>(begin % kChunkElems);
-    if (head != 0) {
-      const auto hi =
-          static_cast<uint32_t>(std::min<uint64_t>(kChunkElems, head + (end - begin)));
-      const uint64_t m =
-          (match_mask(replica, chunk, p.bound, is_eq, p.invert) >> head) & SliceMask(hi - head);
-      EmitMaskBits(bitmap, pos, m, hi - head);
-      count += static_cast<uint64_t>(std::popcount(m));
-      pos += hi - head;
-      begin += hi - head;
-      ++chunk;
-      if (begin >= end) {
-        return count;
-      }
-    }
-    for (; begin + kChunkElems <= end; begin += kChunkElems, ++chunk, pos += kChunkElems) {
-      const uint64_t m = match_mask(replica, chunk, p.bound, is_eq, p.invert);
-      EmitMaskBits(bitmap, pos, m, kChunkElems);
-      count += static_cast<uint64_t>(std::popcount(m));
-    }
-    if (begin < end) {
-      const auto tail = static_cast<uint32_t>(end - begin);
-      const uint64_t m = match_mask(replica, chunk, p.bound, is_eq, p.invert) & SliceMask(tail);
-      EmitMaskBits(bitmap, pos, m, tail);
-      count += static_cast<uint64_t>(std::popcount(m));
-    }
-    return count;
-  }
-
-  static uint64_t FilteredSumRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                                   ScanPredicate p) {
-    SA_DCHECK(begin <= end);
-    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
-      return 0;
-    }
-    if (p.kind == ScanPredicate::Kind::kAll) {
-      return SumRange(replica, begin, end);
-    }
-    const auto filtered_sum = KernelsFor(BITS).filtered_sum_chunk;
-    const bool is_eq = p.kind == ScanPredicate::Kind::kEq;
-    const auto slice_sum = [&](uint64_t lo, uint64_t hi) {
-      uint64_t s = 0;
-      for (uint64_t i = lo; i < hi; ++i) {
-        const uint64_t v = GetImpl(replica, i);
-        if ((is_eq ? v == p.bound : v < p.bound) != p.invert) {
-          s += v;
-        }
-      }
-      return s;
-    };
-    uint64_t sum = 0;
-    uint64_t i = begin;
-    const uint64_t head_end = std::min(end, AlignUp(begin, kChunkElems));
-    sum += slice_sum(i, head_end);
-    i = head_end;
-    for (; i + kChunkElems <= end; i += kChunkElems) {
-      sum += filtered_sum(replica, i / kChunkElems, p.bound, is_eq, p.invert);
-    }
-    sum += slice_sum(i, end);
-    return sum;
-  }
-
-  // True when the v2 shift-network kernels exist for this width AND the
-  // host can run them (CPUID minus the SA_DISABLE_AVX2 override). Candidacy
-  // only: whether they are *selected* is the kernel table's measured call.
-  static bool HasV2Kernels() {
-#if defined(SA_HAVE_AVX2_KERNELS)
-    if constexpr (kHasV2) {
-      return HostCpuFeatures().avx2;
-    }
-#endif
-    return false;
-  }
-
-  // True when the measured kernel table selected the AVX2 v2 kernels for
-  // this width on this host.
-  static bool UsesAvx2Kernels() {
-    return KernelsFor(BITS).kind == KernelKind::kAvx2V2;
-  }
+  // A kind is one set of whole-chunk loops over chunks [first, first + n)
+  // plus a chunk decoder; the range walkers below are written once over a
+  // kind, so every kind shares the ragged head/tail logic. Ops(kind) is the
+  // kernel table's candidate set for one kind at this width.
 
 #if defined(SA_HAVE_AVX2_KERNELS)
   static constexpr bool kHasV2 = avx2::HasV2Width(BITS);
-
-  // v2 shift-network flavours. Only correct to call when HasV2Kernels();
-  // exposed (rather than private) so the differential tests, the kernel
-  // table calibration, and the codec microbenchmark can target the path
-  // explicitly. Widths without a v2 network delegate to the block kernels
-  // so the symbols stay well-formed for every instantiation.
-  static uint64_t SumRangeV2(const uint64_t* replica, uint64_t begin, uint64_t end) {
-    if constexpr (kHasV2) {
-      return SumRangeWith(replica, begin, end, [](const uint64_t* r, uint64_t chunk) {
-        return avx2::SumChunkV2<BITS>(r + chunk * kWordsPerChunk);
-      });
-    } else {
-      return SumRangeImpl(replica, begin, end);
-    }
-  }
-
-  static uint64_t Sum2RangeV2(const uint64_t* r1, const uint64_t* r2, uint64_t begin,
-                              uint64_t end) {
-    if constexpr (kHasV2) {
-      return Sum2RangeWith(r1, r2, begin, end, [](const uint64_t* r, uint64_t chunk) {
-        return avx2::SumChunkV2<BITS>(r + chunk * kWordsPerChunk);
-      });
-    } else {
-      return Sum2RangeImpl(r1, r2, begin, end);
-    }
-  }
-
-  // (replica, chunk, out) shape of the v2 chunk decoder, addressable for
-  // the kernel table.
-  static void UnpackChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
-    if constexpr (kHasV2) {
-      avx2::UnpackChunkV2<BITS>(replica + chunk * kWordsPerChunk, out);
-    } else {
-      UnpackUnrolledImpl(replica, chunk, out);
-    }
-  }
-
-  // (replica, chunk, ...) shapes of the v2 predicate kernels, addressable
-  // for the kernel table. Width 64 has no v2 flavour (the signed-compare
-  // trick needs bound < 2^63) and delegates to the block kernels.
-  static uint64_t MatchMaskChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t bound,
-                                   bool is_eq, bool invert) {
-    if constexpr (kHasV2) {
-      return avx2::MatchMaskChunkV2<BITS>(replica + chunk * kWordsPerChunk, bound, is_eq, invert);
-    } else {
-      return MatchMaskChunkImpl(replica, chunk, bound, is_eq, invert);
-    }
-  }
-
-  static uint64_t FilteredSumChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t bound,
-                                     bool is_eq, bool invert) {
-    if constexpr (kHasV2) {
-      return avx2::FilteredSumChunkV2<BITS>(replica + chunk * kWordsPerChunk, bound, is_eq,
-                                            invert);
-    } else {
-      return FilteredSumChunkImpl(replica, chunk, bound, is_eq, invert);
-    }
-  }
+#else
+  static constexpr bool kHasV2 = false;
 #endif
+#if defined(SA_HAVE_AVX512_KERNELS)
+  static constexpr bool kHasAvx512 = avx512::HasLaneWidth(BITS);
+#else
+  static constexpr bool kHasAvx512 = false;
+#endif
+
+  // The kernel set of `kind` at this width, or the block set where the kind
+  // has no kernels here: the kernel table's candidates. Callers outside it
+  // use CandidateKernels (kernel_table.h), which also knows whether the host
+  // can run the kind.
+  static KernelOps Ops(KernelKind kind) {
+#if defined(SA_HAVE_AVX2_KERNELS)
+    if constexpr (kHasV2) {
+      if (kind == KernelKind::kAvx2V2) {
+        return OpsOf<PerChunkKernels<&SumChunkV2, &UnpackChunkV2, &MatchMaskChunkV2,
+                                     &FilteredSumChunkV2>>(kind);
+      }
+    }
+#endif
+#if defined(SA_HAVE_AVX512_KERNELS)
+    if constexpr (kHasAvx512) {
+      if (kind == KernelKind::kAvx512) {
+        return OpsOf<avx512::Kernels<BITS>>(kind);
+      }
+    }
+#endif
+    return OpsOf<BlockKernels>(KernelKind::kBlock);
+  }
 
   // ---- Dispatching kernels (what callers should use) ----
   //
@@ -596,6 +424,26 @@ class BitCompressedArray final : public SmartArray {
   // Decodes one whole chunk into out[0..63] through the selected kernel.
   static void UnpackChunk(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
     KernelsFor(BITS).unpack_chunk(replica, chunk, out);
+  }
+
+  // Pushdown scans over [begin, end) through the selected predicate walker.
+  // SelectIfRange emits the match bit of element begin+i at bitmap bit
+  // `bit_offset + i` and returns the match count; it only ORs bits in —
+  // callers zero the buffer, which is what lets chunk-aligned parallel
+  // grains share one bitmap.
+  static uint64_t CountIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
+                               ScanPredicate p) {
+    return KernelsFor(BITS).count_if_range(replica, begin, end, p);
+  }
+
+  static uint64_t SelectIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
+                                ScanPredicate p, uint64_t* bitmap, uint64_t bit_offset) {
+    return KernelsFor(BITS).select_if_range(replica, begin, end, p, bitmap, bit_offset);
+  }
+
+  static uint64_t FilteredSumRange(const uint64_t* replica, uint64_t begin, uint64_t end,
+                                   ScanPredicate p) {
+    return KernelsFor(BITS).filtered_sum_range(replica, begin, end, p);
   }
 
   // ---- Chunk-streaming decode seam (UnpackRange / PackRange) ----
@@ -716,65 +564,216 @@ class BitCompressedArray final : public SmartArray {
                          std::conditional_t<BITS == 16, uint16_t,
                                             std::conditional_t<BITS == 32, uint32_t, uint64_t>>>;
 
-  // Shared range walker: ragged head/tail chunks go through the masked
-  // slice kernel, whole chunks through `chunk_sum(replica, chunk)`.
-  template <typename ChunkSum>
-  static uint64_t SumRangeWith(const uint64_t* replica, uint64_t begin, uint64_t end,
-                               const ChunkSum& chunk_sum) {
-    SA_DCHECK(begin <= end);
-    if (begin >= end) {
-      return 0;
+  // A kernel kind built from one-chunk kernels (replica, chunk, ...): the
+  // block and v2 kinds, whose whole-chunk loops make one chunk-kernel call
+  // per chunk.
+  template <auto SUM, auto UNPACK, auto MASK, auto FILTERED_SUM>
+  struct PerChunkKernels {
+    static uint64_t Sum(const uint64_t* replica, uint64_t first, uint64_t n) {
+      uint64_t sum = 0;
+      for (uint64_t chunk = first; chunk < first + n; ++chunk) {
+        sum += SUM(replica, chunk);
+      }
+      return sum;
     }
-    uint64_t sum = 0;
-    uint64_t chunk = begin / kChunkElems;
-    const auto head = static_cast<uint32_t>(begin % kChunkElems);
-    if (head != 0) {
-      const auto hi = static_cast<uint32_t>(
-          std::min<uint64_t>(kChunkElems, head + (end - begin)));
-      sum = SumChunkSliceImpl(replica, chunk, head, hi);
-      begin += hi - head;
-      ++chunk;
-      if (begin >= end) {
-        return sum;
+    static uint64_t Sum2(const uint64_t* r1, const uint64_t* r2, uint64_t first, uint64_t n) {
+      uint64_t sum = 0;
+      for (uint64_t chunk = first; chunk < first + n; ++chunk) {
+        sum += SUM(r1, chunk) + SUM(r2, chunk);
+      }
+      return sum;
+    }
+    static void Unpack(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
+      UNPACK(replica, chunk, out);
+    }
+    template <typename Sink>
+    static void Masks(const uint64_t* replica, uint64_t first, uint64_t n, uint64_t bound,
+                      bool is_eq, bool invert, Sink&& sink) {
+      for (uint64_t chunk = first; chunk < first + n; ++chunk) {
+        sink(MASK(replica, chunk, bound, is_eq, invert));
       }
     }
-    for (; begin + kChunkElems <= end; begin += kChunkElems, ++chunk) {
-      sum += chunk_sum(replica, chunk);
+    static uint64_t FilteredSum(const uint64_t* replica, uint64_t first, uint64_t n,
+                                uint64_t bound, bool is_eq, bool invert) {
+      uint64_t sum = 0;
+      for (uint64_t chunk = first; chunk < first + n; ++chunk) {
+        sum += FILTERED_SUM(replica, chunk, bound, is_eq, invert);
+      }
+      return sum;
     }
-    if (begin < end) {
-      sum += SumChunkSliceImpl(replica, chunk, 0, static_cast<uint32_t>(end - begin));
+  };
+
+  using BlockKernels = PerChunkKernels<&SumChunkImpl, &UnpackUnrolledImpl, &MatchMaskChunkImpl,
+                                       &FilteredSumChunkImpl>;
+
+#if defined(SA_HAVE_AVX2_KERNELS)
+  // v2 shift-network chunk kernels in (replica, chunk) form; only
+  // instantiated for widths with a v2 network (see Ops).
+  static uint64_t SumChunkV2(const uint64_t* replica, uint64_t chunk) {
+    return avx2::SumChunkV2<BITS>(replica + chunk * kWordsPerChunk);
+  }
+  static void UnpackChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
+    avx2::UnpackChunkV2<BITS>(replica + chunk * kWordsPerChunk, out);
+  }
+  static uint64_t MatchMaskChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t bound,
+                                   bool is_eq, bool invert) {
+    return avx2::MatchMaskChunkV2<BITS>(replica + chunk * kWordsPerChunk, bound, is_eq, invert);
+  }
+  static uint64_t FilteredSumChunkV2(const uint64_t* replica, uint64_t chunk, uint64_t bound,
+                                     bool is_eq, bool invert) {
+    return avx2::FilteredSumChunkV2<BITS>(replica + chunk * kWordsPerChunk, bound, is_eq,
+                                          invert);
+  }
+#endif
+
+  template <typename K>
+  static KernelOps OpsOf(KernelKind kind) {
+    return {&SumRangeWith<K>,  &Sum2RangeWith<K>,  &K::Unpack, &CountIfWith<K>,
+            &SelectIfWith<K>, &FilteredSumWith<K>, kind,       kind};
+  }
+
+  // Splits [begin, end) into a ragged head, a run of whole chunks and a
+  // ragged tail: ragged(chunk, lo, hi) gets elements [lo, hi) of one chunk
+  // (never the whole chunk), whole(first, n) gets chunks [first, first + n)
+  // with n >= 1. Every range walker below is one call of this.
+  template <typename Ragged, typename Whole>
+  static void SplitRange(uint64_t begin, uint64_t end, Ragged&& ragged, Whole&& whole) {
+    SA_DCHECK(begin <= end);
+    uint64_t chunk = begin / kChunkElems;
+    const auto head = static_cast<uint32_t>(begin % kChunkElems);
+    if (head != 0 && begin < end) {
+      const auto hi =
+          static_cast<uint32_t>(std::min<uint64_t>(kChunkElems, head + (end - begin)));
+      ragged(chunk++, head, hi);
+      begin += hi - head;
     }
+    const uint64_t n = (end - begin) / kChunkElems;
+    if (n != 0) {
+      whole(chunk, n);
+    }
+    const auto tail = static_cast<uint32_t>(end - begin - n * kChunkElems);
+    if (tail != 0) {
+      ragged(chunk + n, 0, tail);
+    }
+  }
+
+  template <typename K>
+  static uint64_t SumRangeWith(const uint64_t* replica, uint64_t begin, uint64_t end) {
+    uint64_t sum = 0;
+    SplitRange(
+        begin, end,
+        [&](uint64_t chunk, uint32_t lo, uint32_t hi) {
+          sum += SumChunkSliceImpl(replica, chunk, lo, hi);
+        },
+        [&](uint64_t first, uint64_t n) { sum += K::Sum(replica, first, n); });
     return sum;
   }
 
   // Fused two-array walker: both streams advance chunk-in-lockstep.
-  template <typename ChunkSum>
+  template <typename K>
   static uint64_t Sum2RangeWith(const uint64_t* r1, const uint64_t* r2, uint64_t begin,
-                                uint64_t end, const ChunkSum& chunk_sum) {
+                                uint64_t end) {
+    uint64_t sum = 0;
+    SplitRange(
+        begin, end,
+        [&](uint64_t chunk, uint32_t lo, uint32_t hi) {
+          sum += SumChunkSliceImpl(r1, chunk, lo, hi) + SumChunkSliceImpl(r2, chunk, lo, hi);
+        },
+        [&](uint64_t first, uint64_t n) { sum += K::Sum2(r1, r2, first, n); });
+    return sum;
+  }
+
+  // ---- Predicate range walkers ----
+  //
+  // Bound once per range by the kernel table (KernelOps::count_if_range and
+  // friends), so a scan pays one indirect call per range rather than one per
+  // chunk: at AVX-512 speed that call would cost more than the decode.
+  // Ragged edges slice K's full-chunk mask; trivial predicates (kNone/kAll
+  // after normalization) answer in closed form.
+
+  // Calls sink(mask, len) for each piece of [begin, end) in order: bit j of
+  // `mask` says whether element (piece start + j) matches; bits >= len are
+  // clear.
+  template <typename K, typename Sink>
+  static void ForEachMatchMask(const uint64_t* replica, uint64_t begin, uint64_t end,
+                               ScanPredicate p, Sink&& sink) {
+    const bool is_eq = p.kind == ScanPredicate::Kind::kEq;
+    SplitRange(
+        begin, end,
+        [&](uint64_t chunk, uint32_t lo, uint32_t hi) {
+          K::Masks(replica, chunk, 1, p.bound, is_eq, p.invert,
+                   [&](uint64_t m) { sink((m >> lo) & SliceMask(hi - lo), hi - lo); });
+        },
+        [&](uint64_t first, uint64_t n) {
+          K::Masks(replica, first, n, p.bound, is_eq, p.invert,
+                   [&](uint64_t m) { sink(m, kChunkElems); });
+        });
+  }
+
+  template <typename K>
+  static uint64_t CountIfWith(const uint64_t* replica, uint64_t begin, uint64_t end,
+                              ScanPredicate p) {
     SA_DCHECK(begin <= end);
-    if (begin >= end) {
+    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
       return 0;
     }
+    if (p.kind == ScanPredicate::Kind::kAll) {
+      return end - begin;
+    }
+    uint64_t count = 0;
+    ForEachMatchMask<K>(replica, begin, end, p, [&](uint64_t m, uint32_t) {
+      count += static_cast<uint64_t>(std::popcount(m));
+    });
+    return count;
+  }
+
+  template <typename K>
+  static uint64_t SelectIfWith(const uint64_t* replica, uint64_t begin, uint64_t end,
+                               ScanPredicate p, uint64_t* bitmap, uint64_t bit_offset) {
+    SA_DCHECK(begin <= end);
+    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
+      return 0;
+    }
+    if (p.kind == ScanPredicate::Kind::kAll) {
+      SetBitRange(bitmap, bit_offset, bit_offset + (end - begin));
+      return end - begin;
+    }
+    uint64_t count = 0;
+    uint64_t pos = bit_offset;
+    ForEachMatchMask<K>(replica, begin, end, p, [&](uint64_t m, uint32_t len) {
+      EmitMaskBits(bitmap, pos, m, len);
+      pos += len;
+      count += static_cast<uint64_t>(std::popcount(m));
+    });
+    return count;
+  }
+
+  // Whole chunks through K's filtered-sum loop; ragged edges through GetImpl.
+  template <typename K>
+  static uint64_t FilteredSumWith(const uint64_t* replica, uint64_t begin, uint64_t end,
+                                  ScanPredicate p) {
+    SA_DCHECK(begin <= end);
+    if (begin >= end || p.kind == ScanPredicate::Kind::kNone) {
+      return 0;
+    }
+    if (p.kind == ScanPredicate::Kind::kAll) {
+      return SumRangeWith<K>(replica, begin, end);
+    }
+    const bool is_eq = p.kind == ScanPredicate::Kind::kEq;
     uint64_t sum = 0;
-    uint64_t chunk = begin / kChunkElems;
-    const auto head = static_cast<uint32_t>(begin % kChunkElems);
-    if (head != 0) {
-      const auto hi = static_cast<uint32_t>(
-          std::min<uint64_t>(kChunkElems, head + (end - begin)));
-      sum = SumChunkSliceImpl(r1, chunk, head, hi) + SumChunkSliceImpl(r2, chunk, head, hi);
-      begin += hi - head;
-      ++chunk;
-      if (begin >= end) {
-        return sum;
-      }
-    }
-    for (; begin + kChunkElems <= end; begin += kChunkElems, ++chunk) {
-      sum += chunk_sum(r1, chunk) + chunk_sum(r2, chunk);
-    }
-    if (begin < end) {
-      const auto tail = static_cast<uint32_t>(end - begin);
-      sum += SumChunkSliceImpl(r1, chunk, 0, tail) + SumChunkSliceImpl(r2, chunk, 0, tail);
-    }
+    SplitRange(
+        begin, end,
+        [&](uint64_t chunk, uint32_t lo, uint32_t hi) {
+          for (uint64_t i = chunk * kChunkElems + lo; i < chunk * kChunkElems + hi; ++i) {
+            const uint64_t v = GetImpl(replica, i);
+            if ((is_eq ? v == p.bound : v < p.bound) != p.invert) {
+              sum += v;
+            }
+          }
+        },
+        [&](uint64_t first, uint64_t n) {
+          sum += K::FilteredSum(replica, first, n, p.bound, is_eq, p.invert);
+        });
     return sum;
   }
 

@@ -1,5 +1,5 @@
 // AVX2 flavour of the chunk-granular codec kernels: the shift-network v2
-// decoder plus the retired gather decoder it replaced.
+// decoder.
 //
 // Compiled with per-function target attributes so the library still builds
 // without -mavx2 and runs on machines without AVX2; callers must gate on
@@ -251,71 +251,6 @@ __attribute__((target("avx2"))) inline uint64_t FilteredSumChunkV2(const uint64_
   }
   return FilteredSumChunkV2Impl<BITS, false>(words, bound, invert_lanes,
                                              std::make_index_sequence<kChunkElems / 4>{});
-}
-
-// ---------------------------------------------------------------------------
-// Retired PR-1 gather decoder
-// ---------------------------------------------------------------------------
-//
-// Kept only so bench/micro_codec can keep publishing the v2-vs-gather
-// comparison (the BENCH_codec.json acceptance series); the kernel table
-// never selects it.
-
-template <uint32_t BITS>
-struct LaneTables {
-  alignas(32) uint64_t lo_word[kChunkElems];
-  alignas(32) uint64_t hi_word[kChunkElems];
-  alignas(32) uint64_t shift[kChunkElems];
-  alignas(32) uint64_t straddle[kChunkElems];
-  bool group_straddles[kChunkElems / 4];
-};
-
-template <uint32_t BITS>
-constexpr LaneTables<BITS> MakeLaneTables() {
-  LaneTables<BITS> t{};
-  for (uint32_t i = 0; i < kChunkElems; ++i) {
-    const uint32_t bit = i * BITS;
-    t.lo_word[i] = bit / kWordBits;
-    t.hi_word[i] = (bit + BITS - 1) / kWordBits;
-    t.shift[i] = bit % kWordBits;
-    const bool straddles = bit % kWordBits + BITS > kWordBits;
-    t.straddle[i] = straddles ? ~uint64_t{0} : uint64_t{0};
-    t.group_straddles[i / 4] = t.group_straddles[i / 4] || straddles;
-  }
-  return t;
-}
-
-template <uint32_t BITS>
-inline constexpr LaneTables<BITS> kLaneTables = MakeLaneTables<BITS>();
-
-// Sum of the 64 elements of the chunk starting at `words`, via per-lane
-// gathers (the PR-1 kernel).
-template <uint32_t BITS>
-__attribute__((target("avx2"))) inline uint64_t SumChunkGather(const uint64_t* words) {
-  const LaneTables<BITS>& t = kLaneTables<BITS>;
-  const __m256i value_mask = _mm256_set1_epi64x(static_cast<long long>(LowMask(BITS)));
-  const __m256i word_bits = _mm256_set1_epi64x(kWordBits);
-  const auto* base = reinterpret_cast<const long long*>(words);
-  __m256i acc = _mm256_setzero_si256();
-  for (uint32_t g = 0; g < kChunkElems; g += 4) {
-    const __m256i lo_idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(&t.lo_word[g]));
-    const __m256i shift = _mm256_load_si256(reinterpret_cast<const __m256i*>(&t.shift[g]));
-    const __m256i lo = _mm256_i64gather_epi64(base, lo_idx, 8);
-    __m256i value = _mm256_srlv_epi64(lo, shift);
-    if (t.group_straddles[g / 4]) {
-      const __m256i hi_idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(&t.hi_word[g]));
-      const __m256i straddle =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(&t.straddle[g]));
-      const __m256i hi = _mm256_i64gather_epi64(base, hi_idx, 8);
-      const __m256i hi_part = _mm256_sllv_epi64(hi, _mm256_sub_epi64(word_bits, shift));
-      value = _mm256_or_si256(value, _mm256_and_si256(hi_part, straddle));
-    }
-    acc = _mm256_add_epi64(acc, _mm256_and_si256(value, value_mask));
-  }
-  const __m128i folded =
-      _mm_add_epi64(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
-  return static_cast<uint64_t>(_mm_cvtsi128_si64(folded)) +
-         static_cast<uint64_t>(_mm_extract_epi64(folded, 1));
 }
 
 }  // namespace sa::smart::avx2

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -21,135 +22,102 @@
 namespace sa::smart {
 namespace {
 
-enum class ForceMode {
-  kAuto,   // measured selection (default)
-  kBlock,  // scalar block kernels everywhere
-  kAvx2,   // v2 kernels wherever they exist (benchmarking only)
-};
+constexpr KernelKind kKinds[] = {KernelKind::kBlock, KernelKind::kAvx2V2, KernelKind::kAvx512};
+constexpr size_t kNumKinds = std::size(kKinds);
 
-ForceMode ForceModeFromEnv() {
+// SA_FORCE_KERNEL; nullopt is the measured default (unset, "auto", or an
+// unknown value, which falls back rather than aborting).
+std::optional<KernelKind> ForcedKindFromEnv() {
   const char* env = std::getenv("SA_FORCE_KERNEL");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "auto") == 0) {
-    return ForceMode::kAuto;
+  if (env == nullptr) {
+    return std::nullopt;
   }
   if (std::strcmp(env, "block") == 0) {
-    return ForceMode::kBlock;
+    return KernelKind::kBlock;
   }
   if (std::strcmp(env, "avx2") == 0) {
-    return ForceMode::kAvx2;
+    return KernelKind::kAvx2V2;
   }
-  // Unknown value: fall back to the measured default rather than aborting.
-  return ForceMode::kAuto;
+  if (std::strcmp(env, "avx512") == 0) {
+    return KernelKind::kAvx512;
+  }
+  return std::nullopt;
 }
 
-// Both flavours for one width; `v2` is only meaningful when has_v2.
+// Every kind's kernel set for one width, indexed by KernelKind, and whether
+// this host can run it.
 struct Candidates {
-  KernelOps block;
-  KernelOps v2;
-  bool has_v2 = false;
+  KernelOps ops[kNumKinds];
+  bool runnable[kNumKinds] = {};
 };
 
 template <uint32_t BITS>
 Candidates MakeCandidates() {
   using Codec = BitCompressedArray<BITS>;
   Candidates c;
-  c.block = {&Codec::SumRangeImpl,       &Codec::Sum2RangeImpl,
-             &Codec::UnpackUnrolledImpl, &Codec::MatchMaskChunkImpl,
-             &Codec::FilteredSumChunkImpl, KernelKind::kBlock,
-             KernelKind::kBlock};
-#if defined(SA_HAVE_AVX2_KERNELS)
-  if constexpr (Codec::kHasV2) {
-    c.v2 = {&Codec::SumRangeV2,   &Codec::Sum2RangeV2,      &Codec::UnpackChunkV2,
-            &Codec::MatchMaskChunkV2, &Codec::FilteredSumChunkV2, KernelKind::kAvx2V2,
-            KernelKind::kAvx2V2};
-    c.has_v2 = true;
+  for (const KernelKind kind : kKinds) {
+    c.ops[static_cast<size_t>(kind)] = Codec::Ops(kind);
   }
-#endif
+  const CpuFeatures& cpu = HostCpuFeatures();
+  c.runnable[static_cast<size_t>(KernelKind::kBlock)] = true;
+  c.runnable[static_cast<size_t>(KernelKind::kAvx2V2)] = Codec::kHasV2 && cpu.avx2;
+  c.runnable[static_cast<size_t>(KernelKind::kAvx512)] = Codec::kHasAvx512 && cpu.avx512;
   return c;
 }
 
 // Calibration workload: 512 chunks (32768 elements). That spills the packed
 // buffer out of L1 at every width, which matters: the scalar block kernel
 // auto-vectorizes well at some even widths and the ranking between it and
-// the v2 shift network can differ between an L1-resident toy loop and the
+// the vector kernels can differ between an L1-resident toy loop and the
 // streaming scans the table actually serves.
 constexpr uint64_t kCalibChunks = 512;
 constexpr uint64_t kCalibElems = kCalibChunks * kChunkElems;
 
-// Best-of-N wall time for both candidates, sampled interleaved (block, v2,
-// block, v2, ...) so a frequency or preemption swing during calibration
-// hits both kernels instead of biasing whichever ran second. The
-// accumulated sums feed a sink so the calls cannot be optimized away.
-struct CalibResult {
-  uint64_t block_ns = UINT64_MAX;
-  uint64_t v2_ns = UINT64_MAX;
-};
-
-CalibResult InterleavedBestNs(uint64_t (*block)(const uint64_t*, uint64_t, uint64_t),
-                              uint64_t (*v2)(const uint64_t*, uint64_t, uint64_t),
-                              const uint64_t* words, uint64_t* sink) {
+// True when `challenger` strictly beats `incumbent` at `run`: one warm-up
+// call each, then best-of-5 sampled interleaved (incumbent, challenger,
+// incumbent, ...) so a frequency or preemption swing during calibration
+// hits both kernels instead of biasing whichever ran second. A tie (or
+// noise within a tie) keeps the incumbent. Results feed `sink` so the calls
+// cannot be optimized away.
+template <typename Run>
+bool ChallengerWins(const KernelOps& incumbent, const KernelOps& challenger, const Run& run,
+                    uint64_t* sink) {
   using Clock = std::chrono::steady_clock;
-  const auto time_one = [&](uint64_t (*fn)(const uint64_t*, uint64_t, uint64_t)) {
-    const Clock::time_point start = Clock::now();
-    *sink ^= fn(words, 0, kCalibElems);
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count());
-  };
-  CalibResult result;
-  for (int rep = 0; rep < 5; ++rep) {
-    result.block_ns = std::min(result.block_ns, time_one(block));
-    result.v2_ns = std::min(result.v2_ns, time_one(v2));
-  }
-  return result;
-}
-
-using MatchMaskFn = uint64_t (*)(const uint64_t*, uint64_t, uint64_t, bool, bool);
-
-// Same interleaved best-of-5 discipline for the predicate kernels. The
-// calibration predicate is `v < mid`, a ~half-selective compare: match-mask
-// cost is selectivity-independent (every element is compared), so any bound
-// ranks the kernels identically, and mid keeps the compare honest against
-// branch-predictor artifacts in the scalar loop.
-CalibResult InterleavedBestMatchNs(MatchMaskFn block, MatchMaskFn v2, const uint64_t* words,
-                                   uint64_t bound, uint64_t* sink) {
-  using Clock = std::chrono::steady_clock;
-  const auto time_one = [&](MatchMaskFn fn) {
-    const Clock::time_point start = Clock::now();
-    uint64_t acc = 0;
-    for (uint64_t chunk = 0; chunk < kCalibChunks; ++chunk) {
-      acc ^= fn(words, chunk, bound, false, false);
+  const KernelOps* sides[2] = {&incumbent, &challenger};
+  uint64_t best_ns[2] = {UINT64_MAX, UINT64_MAX};
+  for (int rep = -1; rep < 5; ++rep) {
+    for (int side = 0; side < 2; ++side) {
+      const Clock::time_point start = Clock::now();
+      *sink ^= run(*sides[side]);
+      const auto ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count());
+      if (rep >= 0) {
+        best_ns[side] = std::min(best_ns[side], ns);
+      }
     }
-    *sink ^= acc;
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count());
-  };
-  CalibResult result;
-  for (int rep = 0; rep < 5; ++rep) {
-    result.block_ns = std::min(result.block_ns, time_one(block));
-    result.v2_ns = std::min(result.v2_ns, time_one(v2));
   }
-  return result;
+  return best_ns[1] < best_ns[0];
 }
 
 struct Table {
-  KernelOps ops[65];
+  KernelOps ops[65];         // the selection per width
+  Candidates candidates[65];  // every kind per width
 };
 
 Table BuildTable() {
-  Candidates cand[65] = {};
+  Table table;
+  Candidates* cand = table.candidates;
   [&]<size_t... I>(std::index_sequence<I...>) {
     ((cand[I + 1] = MakeCandidates<I + 1>()), ...);
   }(std::make_index_sequence<64>{});
 
-  Table table;
-  table.ops[0] = cand[1].block;  // never a valid width; defensively block
+  constexpr auto kBlockIdx = static_cast<size_t>(KernelKind::kBlock);
+  table.ops[0] = cand[1].ops[kBlockIdx];  // never a valid width; defensively block
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    table.ops[bits] = cand[bits].block;
+    table.ops[bits] = cand[bits].ops[kBlockIdx];
   }
-
-  const bool v2_runnable = HostCpuFeatures().avx2;
-  const ForceMode mode = ForceModeFromEnv();
-  if (!v2_runnable || mode == ForceMode::kBlock) {
+  const std::optional<KernelKind> forced = ForcedKindFromEnv();
+  if (forced == KernelKind::kBlock) {
     return table;
   }
 
@@ -161,46 +129,45 @@ Table BuildTable() {
   }
   volatile uint64_t sink = 0;
   uint64_t local_sink = 0;
+  const auto run_sum = [&](const KernelOps& k) { return k.sum_range(words.data(), 0, kCalibElems); };
 
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    if (!cand[bits].has_v2) {
-      continue;
+    // The predicate family races its range walker, because that is what
+    // gets bound. `v < mid` is a ~half-selective compare: match cost is
+    // selectivity-independent (every element is compared), so any bound
+    // ranks the kernels identically, and mid keeps the compare honest
+    // against branch-predictor artifacts in the scalar loop.
+    const ScanPredicate mid{ScanPredicate::Kind::kLt, std::max<uint64_t>(1, LowMask(bits) >> 1),
+                            false};
+    const auto run_pred = [&](const KernelOps& k) {
+      return k.count_if_range(words.data(), 0, kCalibElems, mid);
+    };
+    KernelOps sum = cand[bits].ops[kBlockIdx];
+    KernelOps pred = sum;
+    for (const KernelKind kind : {KernelKind::kAvx2V2, KernelKind::kAvx512}) {
+      const auto k = static_cast<size_t>(kind);
+      if (!cand[bits].runnable[k] || (forced.has_value() && *forced < kind)) {
+        continue;
+      }
+      const KernelOps& challenger = cand[bits].ops[k];
+      if (forced == kind) {
+        sum = pred = challenger;
+        continue;
+      }
+      // The sum and predicate families race separately: the compare
+      // shifts the compute/bandwidth balance, so the winner can differ.
+      if (ChallengerWins(sum, challenger, run_sum, &local_sink)) {
+        sum = challenger;
+      }
+      if (ChallengerWins(pred, challenger, run_pred, &local_sink)) {
+        pred = challenger;
+      }
     }
-    if (mode == ForceMode::kAvx2) {
-      table.ops[bits] = cand[bits].v2;
-      continue;
-    }
-    // Warm both paths once, then interleaved best-of-5: the v2 kernel must
-    // *win* the measurement to displace the block kernel, so a tie (or
-    // noise within a tie) keeps the scalar baseline.
-    local_sink ^= cand[bits].block.sum_range(words.data(), 0, kCalibElems);
-    local_sink ^= cand[bits].v2.sum_range(words.data(), 0, kCalibElems);
-    const CalibResult timed = InterleavedBestNs(cand[bits].block.sum_range,
-                                                cand[bits].v2.sum_range, words.data(),
-                                                &local_sink);
-    if (timed.v2_ns < timed.block_ns) {
-      const KernelKind pred_kind = table.ops[bits].predicate_kind;
-      const MatchMaskFn pred_match = table.ops[bits].match_mask_chunk;
-      const MatchMaskFn pred_sum = table.ops[bits].filtered_sum_chunk;
-      table.ops[bits] = cand[bits].v2;
-      table.ops[bits].predicate_kind = pred_kind;
-      table.ops[bits].match_mask_chunk = pred_match;
-      table.ops[bits].filtered_sum_chunk = pred_sum;
-    }
-
-    // Predicate kernels race independently of the sum kernels: the compare
-    // shifts the compute/bandwidth balance, so the winner can differ.
-    const uint64_t mid = LowMask(bits) >> 1;
-    local_sink ^= cand[bits].block.match_mask_chunk(words.data(), 0, mid, false, false);
-    local_sink ^= cand[bits].v2.match_mask_chunk(words.data(), 0, mid, false, false);
-    const CalibResult pred_timed =
-        InterleavedBestMatchNs(cand[bits].block.match_mask_chunk,
-                               cand[bits].v2.match_mask_chunk, words.data(), mid, &local_sink);
-    if (pred_timed.v2_ns < pred_timed.block_ns) {
-      table.ops[bits].match_mask_chunk = cand[bits].v2.match_mask_chunk;
-      table.ops[bits].filtered_sum_chunk = cand[bits].v2.filtered_sum_chunk;
-      table.ops[bits].predicate_kind = KernelKind::kAvx2V2;
-    }
+    table.ops[bits] = sum;
+    table.ops[bits].count_if_range = pred.count_if_range;
+    table.ops[bits].select_if_range = pred.select_if_range;
+    table.ops[bits].filtered_sum_range = pred.filtered_sum_range;
+    table.ops[bits].predicate_kind = pred.kind;
   }
   sink = local_sink;
   (void)sink;
@@ -215,21 +182,30 @@ const char* ToString(KernelKind kind) {
       return "block";
     case KernelKind::kAvx2V2:
       return "avx2-v2";
+    case KernelKind::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
 
 namespace {
 
-// Records how calibration resolved each width, once per process.
+// Records how calibration resolved each width's sum family, once per
+// process: one count per width under its selected kind.
 const Table& CalibratedTable() {
   static const Table table = [] {
     Table t = BuildTable();
     for (uint32_t bits = 1; bits <= 64; ++bits) {
-      if (t.ops[bits].kind == KernelKind::kAvx2V2) {
-        SA_OBS_COUNT(kKernelSelectV2);
-      } else {
-        SA_OBS_COUNT(kKernelSelectBlock);
+      switch (t.ops[bits].kind) {
+        case KernelKind::kBlock:
+          SA_OBS_COUNT(kKernelSelectBlock);
+          break;
+        case KernelKind::kAvx2V2:
+          SA_OBS_COUNT(kKernelSelectV2);
+          break;
+        case KernelKind::kAvx512:
+          SA_OBS_COUNT(kKernelSelectAvx512);
+          break;
       }
     }
     return t;
@@ -243,6 +219,13 @@ const KernelOps& KernelsFor(uint32_t bits) {
   static const Table& table = CalibratedTable();
   SA_DCHECK(bits >= 1 && bits <= 64);
   return table.ops[bits];
+}
+
+const KernelOps* CandidateKernels(uint32_t bits, KernelKind kind) {
+  SA_CHECK_MSG(bits >= 1 && bits <= 64, "bit width must be 1..64");
+  const Candidates& c = CalibratedTable().candidates[bits];
+  const auto k = static_cast<size_t>(kind);
+  return c.runnable[k] ? &c.ops[k] : nullptr;
 }
 
 }  // namespace sa::smart

@@ -162,13 +162,12 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
   // Gates on *candidacy* (the width has a v2 network and the host can run
   // AVX2), not on the measured selection: the v2 kernels must be correct
   // even at widths where the table kept the block kernel.
-  const bool runnable = WithBits(
-      GetParam(), [](auto bits_const) { return BitCompressedArray<bits_const()>::HasV2Kernels(); });
-  if (!runnable) {
+  const KernelOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
+  if (v2_kernels == nullptr) {
     GTEST_SKIP() << "no v2 kernel for bits=" << GetParam()
                  << " (native-width special case, no host support, or SA_DISABLE_AVX2)";
   }
-#if defined(SA_HAVE_AVX2_KERNELS)
+  const KernelOps& v2 = *v2_kernels;
   WithBits(GetParam(), [&](auto bits_const) {
     constexpr uint32_t kBits = bits_const();
     using Codec = BitCompressedArray<kBits>;
@@ -176,14 +175,14 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
       std::vector<uint64_t> oracle;
       auto array = Fill(n, n + 31, &oracle);
       const uint64_t* replica = array->GetReplica(0);
-      EXPECT_EQ(Codec::SumRangeV2(replica, 0, n), Codec::SumRangeImpl(replica, 0, n))
+      EXPECT_EQ(v2.sum_range(replica, 0, n), Codec::SumRangeImpl(replica, 0, n))
           << "bits=" << kBits << " n=" << n;
       if (n > 2) {
-        EXPECT_EQ(Codec::SumRangeV2(replica, 1, n - 1), Codec::SumRangeImpl(replica, 1, n - 1))
+        EXPECT_EQ(v2.sum_range(replica, 1, n - 1), Codec::SumRangeImpl(replica, 1, n - 1))
             << "bits=" << kBits << " n=" << n;
       }
       auto a2 = Fill(n, n + 37, &oracle);
-      EXPECT_EQ(Codec::Sum2RangeV2(replica, a2->GetReplica(0), 0, n),
+      EXPECT_EQ(v2.sum2_range(replica, a2->GetReplica(0), 0, n),
                 Codec::Sum2RangeImpl(replica, a2->GetReplica(0), 0, n))
           << "bits=" << kBits << " n=" << n;
       // The v2 chunk decoder against the unrolled scalar decoder, whole
@@ -191,7 +190,7 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
       uint64_t got[kChunkElems];
       uint64_t want[kChunkElems];
       for (uint64_t chunk = 0; chunk < n / kChunkElems; ++chunk) {
-        Codec::UnpackChunkV2(replica, chunk, got);
+        v2.unpack_chunk(replica, chunk, got);
         Codec::UnpackUnrolledImpl(replica, chunk, want);
         for (uint32_t j = 0; j < kChunkElems; ++j) {
           EXPECT_EQ(got[j], want[j]) << "bits=" << kBits << " chunk=" << chunk << " j=" << j;
@@ -200,7 +199,6 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
     }
     return 0;
   });
-#endif
 }
 
 TEST_P(ChunkKernelTest, ForEachRangeVisitsEveryElementInOrder) {

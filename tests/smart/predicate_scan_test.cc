@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/random.h"
 #include "smart/dispatch.h"
 #include "smart/parallel_ops.h"
@@ -148,44 +149,46 @@ TEST_P(PredicateScanTest, FilteredSumMatchesOracle) {
   }
 }
 
-// The AVX2 match/filtered-sum kernels must agree with the scalar block
-// kernels word-for-word on every normalized (bound, is_eq, invert) shape.
-// On widths without a v2 kernel (and off-AVX2 hosts) the v2 entry falls
-// back to the block kernel, so the comparison is trivially true there.
+// The AVX2 v2 predicate walkers must agree with the scalar block ones on
+// every chunk's match mask and filtered sum, for every normalized (bound,
+// is_eq, invert) shape. Skips where the host cannot run AVX2 (including
+// under SA_DISABLE_AVX2), so those hosts never execute AVX2 instructions.
+// Widths without a v2 network have no v2 kernel set, so there the block set
+// is compared with itself, trivially true as before. simd_kernels_test.cc
+// covers ragged ranges.
 TEST_P(PredicateScanTest, BlockAndV2ChunkKernelsAgree) {
+  if (!HostCpuFeatures().avx2) {
+    GTEST_SKIP() << "host cannot run AVX2 (no support, or SA_DISABLE_AVX2)";
+  }
   const uint64_t n = 8 * kChunkElems;
   std::vector<uint64_t> oracle;
   auto array = Fill(n, 7, &oracle);
   const uint64_t* replica = array->GetReplica(0);
-  WithBits(GetParam(), [&](auto bits_const) -> int {
-    constexpr uint32_t kBits = bits_const();
-    using Codec = BitCompressedArray<kBits>;
-    const uint64_t max = LowMask(kBits);
-    const uint64_t test_bounds[] = {0, 1, max / 2, max};
-    for (uint64_t chunk = 0; chunk < n / kChunkElems; ++chunk) {
-      for (const uint64_t bound : test_bounds) {
-        for (const bool is_eq : {false, true}) {
-          for (const bool invert : {false, true}) {
-            // EXPECT (not ASSERT): gtest's fatal assertions bare-return,
-            // which a value-returning WithBits lambda cannot host. Bail on
-            // the first divergence to keep the log readable.
-            EXPECT_EQ(Codec::MatchMaskChunkV2(replica, chunk, bound, is_eq, invert),
-                      Codec::MatchMaskChunkImpl(replica, chunk, bound, is_eq, invert))
-                << "bits=" << kBits << " chunk=" << chunk << " bound=" << bound
-                << " is_eq=" << is_eq << " invert=" << invert;
-            EXPECT_EQ(Codec::FilteredSumChunkV2(replica, chunk, bound, is_eq, invert),
-                      Codec::FilteredSumChunkImpl(replica, chunk, bound, is_eq, invert))
-                << "bits=" << kBits << " chunk=" << chunk << " bound=" << bound
-                << " is_eq=" << is_eq << " invert=" << invert;
-            if (::testing::Test::HasFailure()) {
-              return 0;
-            }
-          }
+  const KernelOps& block = *CandidateKernels(GetParam(), KernelKind::kBlock);
+  const KernelOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
+  const KernelOps& v2 = v2_kernels != nullptr ? *v2_kernels : block;
+  const uint64_t max = LowMask(GetParam());
+  for (uint64_t chunk = 0; chunk < n / kChunkElems; ++chunk) {
+    const uint64_t lo = chunk * kChunkElems;
+    for (const uint64_t bound : {uint64_t{0}, uint64_t{1}, max / 2, max}) {
+      for (const auto kind : {ScanPredicate::Kind::kLt, ScanPredicate::Kind::kEq}) {
+        for (const bool invert : {false, true}) {
+          const ScanPredicate p{kind, bound, invert};
+          uint64_t v2_mask = 0;
+          uint64_t block_mask = 0;
+          v2.select_if_range(replica, lo, lo + kChunkElems, p, &v2_mask, 0);
+          block.select_if_range(replica, lo, lo + kChunkElems, p, &block_mask, 0);
+          ASSERT_EQ(v2_mask, block_mask)
+              << "bits=" << GetParam() << " chunk=" << chunk << " bound=" << bound
+              << " is_eq=" << (kind == ScanPredicate::Kind::kEq) << " invert=" << invert;
+          ASSERT_EQ(v2.filtered_sum_range(replica, lo, lo + kChunkElems, p),
+                    block.filtered_sum_range(replica, lo, lo + kChunkElems, p))
+              << "bits=" << GetParam() << " chunk=" << chunk << " bound=" << bound
+              << " is_eq=" << (kind == ScanPredicate::Kind::kEq) << " invert=" << invert;
         }
       }
     }
-    return 0;
-  });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, PredicateScanTest, ::testing::Range(1u, 65u),

@@ -49,6 +49,7 @@ EXPECTED_COUNTERS = [
     "sa_pack_range_bytes_total",
     "sa_kernel_select_block_total",
     "sa_kernel_select_v2_total",
+    "sa_kernel_select_avx512_total",
     "sa_parallel_for_loops_total",
     "sa_parallel_for_batches_total",
     "sa_parallel_for_steals_total",
