@@ -2,7 +2,10 @@
 // components, triangle counting, degree centrality, PageRank) measured
 // three ways per algorithm and topology —
 //
-//   serial_sec       the plain-CSR scalar reference,
+//   serial_sec       the plain-CSR scalar reference (for triangles the
+//                    degree-ordered CountTrianglesOriented, the algorithm
+//                    the parallel kernel runs; the id-ordered count is the
+//                    oracle),
 //   parallel_sec     the smart-array kernels over an epoch-pinned registry
 //                    snapshot, daemon idle,
 //   live_daemon_sec  the same kernels while the AdaptationDaemon (its own
@@ -97,9 +100,15 @@ Reference ComputeReference(const CsrGraph& csr, GraphBench* bench) {
   t0 = NowSec();
   ref.cc = graph::ConnectedComponents(csr);
   bench->timings[kCc].serial_sec = NowSec() - t0;
-  t0 = NowSec();
   ref.triangles = graph::CountTriangles(csr);
+  t0 = NowSec();
+  const uint64_t oriented = graph::CountTrianglesOriented(csr);
   bench->timings[kTriangles].serial_sec = NowSec() - t0;
+  if (oriented != ref.triangles) {
+    std::fprintf(stderr, "MISMATCH: serial oriented triangles on %s diverged from the oracle\n",
+                 bench->name);
+    bench->timings[kTriangles].checked = false;
+  }
   t0 = NowSec();
   ref.degree = graph::DegreeCentrality(csr);
   bench->timings[kDegree].serial_sec = NowSec() - t0;

@@ -25,7 +25,7 @@ std::vector<uint64_t> DegreeCentrality(const CsrGraph& graph) {
 
 void DegreeCentralitySmart(rts::WorkerPool& pool, const CsrView& graph,
                            smart::SmartArray* out, AccessMix* mix) {
-  SA_CHECK(out != nullptr && out->length() == graph.num_vertices);
+  SA_CHECK(out != nullptr && out->length() >= graph.num_vertices);
 
   // One pass: each chunk-aligned grain decodes begin[b, e+1) and
   // rbegin[b, e+1) in bulk (each at its own width: registry-held offsets

@@ -21,9 +21,10 @@ namespace sa::graph {
 // Serial reference over plain CSR.
 std::vector<uint64_t> DegreeCentrality(const CsrGraph& graph);
 
-// Parallel smart-array version; writes into `out` (length V), which the
-// caller allocates — interleaved, as the paper fixes for output arrays — at
-// a width that holds every degree (checked; a narrower `out` aborts).
+// Parallel smart-array version; writes into `out` (length at least V; the
+// elements past V stay untouched), which the caller allocates — interleaved,
+// as the paper fixes for output arrays — at a width that holds every degree
+// (checked; a narrower `out` aborts).
 // The CsrView overload is the implementation: it reads only through the
 // view, so a GraphSnapshot caller (concurrent.h) is pinned against mid-run
 // restructures; `mix` optionally accumulates the access tallies.

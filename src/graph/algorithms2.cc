@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <queue>
+#include <utility>
 
+#include "common/bits.h"
 #include "common/macros.h"
+#include "graph/algorithms.h"
 #include "graph/grain_slice.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
@@ -15,59 +18,8 @@
 namespace sa::graph {
 namespace {
 
-// One CSR array read per element through its runtime codec, at its own
-// width (registry-held arrays adapt their widths independently).
-struct CodecReader {
-  CodecReader(const smart::SmartArray& array, int socket)
-      : codec(smart::CodecFor(array.bits())), replica(array.GetReplica(socket)) {}
-  uint64_t operator()(uint64_t index) const { return codec.get(replica, index); }
-  const smart::CodecOps& codec;
-  const uint64_t* replica;
-};
-
-// The four ordered-adjacency arrays, resolved once per grain. Lists are short
-// (about 8 elements on average), so per-element reads beat a bulk decode per
-// list.
-struct Adjacency {
-  // Sorted unique neighbors of `v` (forward + reverse lists merged), keeping
-  // only ids greater than `floor`. Both list heads stay in locals, so every
-  // element is decoded once. Returns the number of packed edge-list
-  // elements decoded (for the access-mix tally).
-  uint64_t NeighborsAbove(uint64_t v, uint64_t floor, std::vector<uint64_t>* out) const {
-    out->clear();
-    uint64_t fwd = begin(v);
-    const uint64_t fwd_end = begin(v + 1);
-    uint64_t rev = rbegin(v);
-    const uint64_t rev_end = rbegin(v + 1);
-    const uint64_t decoded = (fwd_end - fwd) + (rev_end - rev);
-    // Vertex ids fit 32 bits, so an exhausted list's head is a sentinel
-    // above every id, and the merge takes the smaller head until both end.
-    constexpr uint64_t kDone = ~uint64_t{0};
-    uint64_t f = fwd < fwd_end ? edge(fwd) : kDone;
-    uint64_t r = rev < rev_end ? redge(rev) : kDone;
-    while (f != kDone || r != kDone) {
-      uint64_t next;
-      if (f <= r) {
-        next = f;
-        f = ++fwd < fwd_end ? edge(fwd) : kDone;
-      } else {
-        next = r;
-        r = ++rev < rev_end ? redge(rev) : kDone;
-      }
-      if (next > floor && next != v && (out->empty() || out->back() != next)) {
-        out->push_back(next);
-      }
-    }
-    return decoded;
-  }
-
-  CodecReader begin;
-  CodecReader edge;
-  CodecReader rbegin;
-  CodecReader redge;
-};
-
-// Plain-CSR flavour of the same helper, for the serial reference.
+// Sorted unique neighbors of `v` (forward + reverse lists merged), keeping
+// only ids greater than `floor`: the id-ordered serial reference's lists.
 void NeighborsAboveRef(const CsrGraph& graph, uint64_t v, uint64_t floor,
                        std::vector<uint64_t>* out) {
   out->clear();
@@ -374,17 +326,124 @@ uint64_t CountTriangles(const CsrGraph& graph) {
 
 namespace {
 
+// The order the oriented kernels orient by: u outranks v when it has more
+// neighbors (out- plus in-degree), ties broken by the larger id. Each
+// undirected edge is kept once, at its lower-ranked endpoint, so a hub keeps
+// only the few neighbors that outrank it (Schank & Wagner 2005; Latapy 2008).
+inline bool Outranks(uint64_t u, uint64_t degree_u, uint64_t v, uint64_t degree_v) {
+  return degree_u > degree_v || (degree_u == degree_v && u > v);
+}
+
+// Appends the union of the ascending lists `a` and `b` to `out`, each value
+// once: one vertex's out- and in-neighbors, which share a value for an edge
+// in both directions and repeat it for duplicate edges.
+void AppendUnion(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b,
+                 std::vector<uint64_t>* out) {
+  const size_t first = out->size();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const uint64_t next = j == b.size() || (i < a.size() && a[i] <= b[j]) ? a[i++] : b[j++];
+    if (out->size() == first || out->back() != next) {
+      out->push_back(next);
+    }
+  }
+}
+
+inline void SetMark(std::vector<uint64_t>& marks, uint64_t u) {
+  marks[u / kWordBits] |= uint64_t{1} << (u % kWordBits);
+}
+inline uint64_t Marked(const std::vector<uint64_t>& marks, uint64_t u) {
+  return (marks[u / kWordBits] >> (u % kWordBits)) & 1;
+}
+
+}  // namespace
+
+uint64_t CountTrianglesOriented(const CsrGraph& graph) {
+  const uint64_t n = graph.num_vertices();
+  const std::vector<uint64_t> degree = DegreeCentrality(graph);
+  // N+(v), the neighbors that outrank v, for every v as one plain CSR.
+  std::vector<uint64_t> above_begin(n + 1, 0);
+  std::vector<uint64_t> above;
+  std::vector<uint64_t> forward;
+  std::vector<uint64_t> reverse;
+  for (uint64_t v = 0; v < n; ++v) {
+    forward.clear();
+    for (EdgeId e = graph.begin()[v]; e < graph.begin()[v + 1]; ++e) {
+      const uint64_t u = graph.edge()[e];
+      if (Outranks(u, degree[u], v, degree[v])) {
+        forward.push_back(u);
+      }
+    }
+    reverse.clear();
+    for (EdgeId e = graph.rbegin()[v]; e < graph.rbegin()[v + 1]; ++e) {
+      const uint64_t u = graph.redge()[e];
+      if (Outranks(u, degree[u], v, degree[v])) {
+        reverse.push_back(u);
+      }
+    }
+    AppendUnion(forward, reverse, &above);
+    above_begin[v + 1] = above.size();
+  }
+  // Each triangle is counted once, at its lowest-ranked vertex v: its other
+  // two vertices u and w are both in N+(v), and w is in N+(u).
+  std::vector<uint64_t> marks((n + kWordBits - 1) / kWordBits, 0);
+  uint64_t count = 0;
+  for (uint64_t v = 0; v < n; ++v) {
+    for (uint64_t i = above_begin[v]; i < above_begin[v + 1]; ++i) {
+      SetMark(marks, above[i]);
+    }
+    for (uint64_t i = above_begin[v]; i < above_begin[v + 1]; ++i) {
+      const uint64_t u = above[i];
+      for (uint64_t j = above_begin[u]; j < above_begin[u + 1]; ++j) {
+        count += Marked(marks, above[j]);
+      }
+    }
+    for (uint64_t i = above_begin[v]; i < above_begin[v + 1]; ++i) {
+      marks[above[i] / kWordBits] = 0;
+    }
+  }
+  return count;
+}
+
+namespace {
+
+// Vertices per grain of the oriented passes: 64 whole chunks, a quarter of
+// a vertex sweep's grain, so the hub-heavy head of a power-law graph spreads
+// over several workers.
+constexpr uint64_t kTriangleGrain = 64 * kChunkElems;
+
+// Where vertex v's list bounds sit in the oriented offsets. Grain [b, e)
+// stores its e - b + 1 bounds from b + 64 * (b / kTriangleGrain) on, so every
+// grain starts on a chunk and owns its chunks outright; v's list is
+// [offsets[OffsetSlot(v)], offsets[OffsetSlot(v) + 1]).
+constexpr uint64_t OffsetSlot(uint64_t v) { return v + kChunkElems * (v / kTriangleGrain); }
+
+struct OrientScratch {
+  std::vector<uint64_t> out_slice;  // GrainSlice buffers
+  std::vector<uint64_t> in_slice;
+  std::vector<uint64_t> forward;  // v's out-neighbors that outrank it
+  std::vector<uint64_t> reverse;  // v's in-neighbors that outrank it
+  std::vector<uint64_t> lists;    // the grain's N+ lists, concatenated
+  std::vector<uint64_t> bounds;   // and their e - b + 1 bounds
+};
+
+struct CountScratch {
+  std::vector<uint64_t> slice;  // GrainSlice buffer
+  std::vector<uint64_t> above;  // N+(v)
+  std::vector<std::pair<uint64_t, uint64_t>> spans;  // [first, last) of each N+(u)
+  std::vector<uint64_t> marks;  // V bits, set for N+(v) while v is counted
+};
+
 struct TriPartial {
   uint64_t triangles = 0;
-  uint64_t decoded = 0;        // packed edge-list elements decoded
-  uint64_t offset_reads = 0;   // begin/rbegin offset pairs read (each array)
-  uint64_t intersections = 0;  // ordered-intersection merges performed
+  uint64_t probes = 0;   // N+(u) lists probed
+  uint64_t gathers = 0;  // ids read from them
 
   TriPartial& operator+=(const TriPartial& o) {
     triangles += o.triangles;
-    decoded += o.decoded;
-    offset_reads += o.offset_reads;
-    intersections += o.intersections;
+    probes += o.probes;
+    gathers += o.gathers;
     return *this;
   }
 };
@@ -392,43 +451,140 @@ struct TriPartial {
 }  // namespace
 
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, AccessMix* mix) {
-  if (graph.num_vertices == 0) {
+  const uint64_t n = graph.num_vertices;
+  if (n == 0) {
     return 0;
   }
-  const TriPartial total = rts::ParallelReduce<TriPartial>(
-      pool, 0, graph.num_vertices, rts::kDefaultGrain,
-      [&](int worker, uint64_t b, uint64_t e) {
-        const int socket = pool.worker_socket(worker);
-        const Adjacency adjacency{{*graph.begin, socket},
-                                  {*graph.edge, socket},
-                                  {*graph.rbegin, socket},
-                                  {*graph.redge, socket}};
-        std::vector<uint64_t> nv;
-        std::vector<uint64_t> nu;
-        TriPartial local;
-        for (uint64_t v = b; v < e; ++v) {
-          local.decoded += adjacency.NeighborsAbove(v, v, &nv);
-          local.offset_reads += 2;
-          for (const uint64_t u : nv) {
-            local.decoded += adjacency.NeighborsAbove(u, u, &nu);
-            local.offset_reads += 2;
-            local.triangles += SortedIntersectionSize(nv, nu);
-            ++local.intersections;
-          }
-        }
-        return local;
-      });
+  // The per-call arrays carry a spare chunk past the last element in use,
+  // which GetPaddedImpl's branch-free gathers need.
+  const auto allocate = [&](uint64_t length, uint32_t bits) {
+    return smart::SmartArray::Allocate(length + kChunkElems, smart::PlacementSpec::Interleaved(),
+                                       bits, graph.begin->topology());
+  };
+  const int workers = pool.num_workers();
 
-  SA_OBS_COUNT_N(kGraphTriIntersections, total.intersections);
-  SA_OBS_COUNT_N(kGraphRandomGathers, total.decoded);
+  // Pass 1: the rank keys, out- plus in-degree packed per vertex.
+  auto degree = allocate(n, BitsForValue(2 * graph.num_edges));
+  DegreeCentralitySmart(pool, graph, degree.get(), nullptr);
+
+  // Pass 2: the orientation. Each grain merges its vertices' out- and
+  // in-lists, keeps the neighbors that outrank the vertex, and packs the
+  // kept lists at a chunk-aligned position it claims. An undirected edge is
+  // kept once, so E plus a chunk of padding per grain bounds the output.
+  const uint64_t grains = (n + kTriangleGrain - 1) / kTriangleGrain;
+  const uint64_t capacity = graph.num_edges + grains * kChunkElems;
+  auto above = allocate(capacity, BitsForValue(n - 1));
+  auto bounds = allocate(OffsetSlot(n - 1) + 2, BitsForValue(capacity));
+  std::atomic<uint64_t> cursor{0};
+  rts::WorkerLocal<OrientScratch> orient(workers);
+  smart::WithBits(degree->bits(), [&](auto degree_bits_const) {
+    using Degree = smart::BitCompressedArray<degree_bits_const()>;
+    rts::ParallelFor(pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
+      SA_DCHECK(b % kTriangleGrain == 0);  // OffsetSlot's grains are the loop's batches
+      const int socket = pool.worker_socket(worker);
+      OrientScratch& s = orient[worker];
+      GrainSlice out_edges(*graph.begin, *graph.edge, socket, b, e, s.out_slice);
+      GrainSlice in_edges(*graph.rbegin, *graph.redge, socket, b, e, s.in_slice);
+      const uint64_t* degree_rep = degree->GetReplica(socket);
+      s.lists.clear();
+      s.bounds.assign(1, 0);
+      for (uint64_t v = b; v < e; ++v) {
+        const uint64_t degree_v = Degree::GetPaddedImpl(degree_rep, v);
+        s.forward.clear();
+        s.reverse.clear();
+        out_edges.ForEachTarget(v, [&](uint64_t u) {
+          if (Outranks(u, Degree::GetPaddedImpl(degree_rep, u), v, degree_v)) {
+            s.forward.push_back(u);
+          }
+        });
+        in_edges.ForEachTarget(v, [&](uint64_t u) {
+          if (Outranks(u, Degree::GetPaddedImpl(degree_rep, u), v, degree_v)) {
+            s.reverse.push_back(u);
+          }
+        });
+        AppendUnion(s.forward, s.reverse, &s.lists);
+        s.bounds.push_back(s.lists.size());
+      }
+      const uint64_t at =
+          cursor.fetch_add(AlignUp(s.lists.size(), kChunkElems), std::memory_order_relaxed);
+      smart::PackRange(*above, at, at + s.lists.size(), s.lists.data());
+      for (uint64_t& bound : s.bounds) {
+        bound += at;
+      }
+      smart::PackRange(*bounds, OffsetSlot(b), OffsetSlot(b) + s.bounds.size(), s.bounds.data());
+    });
+    return 0;
+  });
+  degree.reset();
+
+  // Pass 3: the count. Each vertex marks N+(v) in the worker's bitmap and
+  // probes N+(u) for every u in it. The probes are the only random reads,
+  // and they land in this call's arrays, never in the graph's. N+(v) is
+  // swept three times so their cache misses overlap instead of chaining:
+  // prefetch each u's bounds, read them and prefetch each N+(u)'s head,
+  // then probe.
+  const uint32_t bounds_bits = bounds->bits();
+  uint64_t (*const bounds_get)(const uint64_t*, uint64_t) =
+      smart::WithBits(bounds_bits, [](auto bits_const) {
+        return &smart::BitCompressedArray<bits_const()>::GetPaddedImpl;
+      });
+  rts::WorkerLocal<CountScratch> count(workers);
+  const TriPartial total = smart::WithBits(above->bits(), [&](auto ids_bits_const) {
+    constexpr uint32_t kIdsBits = ids_bits_const();
+    using Ids = smart::BitCompressedArray<kIdsBits>;
+    return rts::ParallelReduce<TriPartial>(
+        pool, 0, n, kTriangleGrain, [&](int worker, uint64_t b, uint64_t e) {
+          const int socket = pool.worker_socket(worker);
+          CountScratch& s = count[worker];
+          // All zero between vertices: each vertex clears the words it set.
+          s.marks.resize((n + kWordBits - 1) / kWordBits);
+          GrainSlice lists(*bounds, *above, socket, b, e, s.slice, OffsetSlot(b));
+          const uint64_t* ids_rep = above->GetReplica(socket);
+          const uint64_t* bounds_rep = bounds->GetReplica(socket);
+          TriPartial local;
+          for (uint64_t v = b; v < e; ++v) {
+            s.above.clear();
+            lists.ForEachTarget(v, [&](uint64_t u) { s.above.push_back(u); });
+            if (s.above.size() < 2) {
+              continue;
+            }
+            for (const uint64_t u : s.above) {
+              SetMark(s.marks, u);
+              __builtin_prefetch(bounds_rep + OffsetSlot(u) * bounds_bits / kWordBits);
+            }
+            s.spans.clear();
+            for (const uint64_t u : s.above) {
+              const uint64_t first = bounds_get(bounds_rep, OffsetSlot(u));
+              s.spans.emplace_back(first, bounds_get(bounds_rep, OffsetSlot(u) + 1));
+              __builtin_prefetch(ids_rep + first * kIdsBits / kWordBits);
+            }
+            for (const auto& [first, last] : s.spans) {
+              for (uint64_t i = first; i < last; ++i) {
+                local.triangles += Marked(s.marks, Ids::GetPaddedImpl(ids_rep, i));
+              }
+              local.gathers += last - first;
+            }
+            local.probes += s.above.size();
+            for (const uint64_t u : s.above) {
+              s.marks[u / kWordBits] = 0;
+            }
+          }
+          return local;
+        });
+  });
+
+  SA_OBS_COUNT_N(kGraphEdgesStreamed, 2 * graph.num_edges);
+  // One rank gather per streamed edge-list element, then the probes.
+  SA_OBS_COUNT_N(kGraphRandomGathers, 2 * graph.num_edges + total.gathers);
+  SA_OBS_COUNT_N(kGraphTriIntersections, total.probes);
   if (mix != nullptr) {
-    // Neighbor lists are re-fetched at data-dependent vertices, so the whole
-    // access pattern — offsets and list elements alike — is gather-shaped
-    // (split evenly across the forward and reverse pairs).
-    mix->begin_rand += total.offset_reads;
-    mix->rbegin_rand += total.offset_reads;
-    mix->edge_rand += total.decoded / 2;
-    mix->redge_rand += total.decoded / 2;
+    // Two sequential passes over each offset array (the degrees, then the
+    // orientation's grain slices) and one over each edge list. No gather
+    // touches the graph's arrays.
+    mix->begin_seq += 2 * (n + 1);
+    mix->rbegin_seq += 2 * (n + 1);
+    mix->edge_seq += graph.num_edges;
+    mix->redge_seq += graph.num_edges;
   }
   return total.triangles;
 }

@@ -62,12 +62,27 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool,
 
 // Counts undirected triangles {a, b, c}: distinct vertex triples mutually
 // connected, ignoring edge direction, duplicates and self-loops. Serial
-// reference over plain CSR.
+// reference over plain CSR, id-ordered: every vertex intersects its merged
+// list of higher-id neighbors with each such neighbor's list. This is the
+// oracle the other two are checked against.
 uint64_t CountTriangles(const CsrGraph& graph);
 
-// Parallel smart-array version: ordered-neighbor intersection — per vertex,
-// the forward+reverse neighbor lists merge into an ascending filtered list,
-// and triangles are counted by sorted-intersection of neighbor pairs.
+// Serial degree-ordered count over plain CSR, the same algorithm as
+// CountTrianglesSmart: every undirected edge points at its endpoint of
+// higher (out- plus in-degree, id), N+(v) is v's list of such neighbors, and
+// each triangle is found once, at its lowest-ranked vertex v, as a pair
+// u in N+(v), w in N+(u) with w in N+(v).
+uint64_t CountTrianglesOriented(const CsrGraph& graph);
+
+// Parallel smart-array version of CountTrianglesOriented, three passes over
+// the view: the rank keys (degree centrality into a packed per-call array),
+// the orientation (each grain merges its vertices' out- and in-lists through
+// GrainSlice and packs the kept lists, ids at BitsForValue(V-1) bits and
+// bounds at the fewest bits that fit, into whole chunks it alone writes),
+// and the count (each vertex marks N+(v) in a per-worker V-bit bitmap and
+// probes every N+(u) through a width-specialised GetImpl). The per-call
+// arrays are freed on return. `mix` receives two sequential passes over
+// begin and rbegin and one over edge and redge: no gather touches the view.
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph,
                              AccessMix* mix = nullptr);
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph);

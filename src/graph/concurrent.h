@@ -14,9 +14,9 @@
 // On release, a GraphSnapshot flushes the access tallies the kernels
 // accounted (AccessMix) into the slots' workload counters — the daemon
 // drains those, so each property array adapts to the access pattern of the
-// algorithms actually touching it (paper §5.2: BFS streams edge lists,
-// triangle counting gathers them; the selector may send the same array to
-// different layouts under different algorithms).
+// algorithms actually touching it (paper §5.2: BFS gathers offsets,
+// PageRank gathers the degree property; the selector may send the same
+// array to different layouts under different algorithms).
 #ifndef SA_GRAPH_CONCURRENT_H_
 #define SA_GRAPH_CONCURRENT_H_
 

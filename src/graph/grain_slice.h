@@ -27,13 +27,20 @@ class GrainSlice {
   // worker's later grains.
   GrainSlice(const smart::SmartArray& offsets, const smart::SmartArray& targets, int socket,
              uint64_t b, uint64_t e, std::vector<uint64_t>& scratch)
+      : GrainSlice(offsets, targets, socket, b, e, scratch, b) {}
+
+  // As above, with the grain's e - b + 1 offsets stored from index
+  // `offsets_at` of `offsets` on rather than from b.
+  GrainSlice(const smart::SmartArray& offsets, const smart::SmartArray& targets, int socket,
+             uint64_t b, uint64_t e, std::vector<uint64_t>& scratch, uint64_t offsets_at)
       : first_(b),
         targets_codec_(smart::CodecFor(targets.bits())),
         targets_rep_(targets.GetReplica(socket)) {
     scratch.resize(std::max<uint64_t>(scratch.size(), e - b + 1 + kEdgeBlock));
     offsets_ = scratch.data();
     block_ = offsets_ + (e - b + 1);
-    smart::CodecFor(offsets.bits()).unpack_range(offsets.GetReplica(socket), b, e + 1, offsets_);
+    smart::CodecFor(offsets.bits())
+        .unpack_range(offsets.GetReplica(socket), offsets_at, offsets_at + (e - b + 1), offsets_);
     block_begin_ = block_end_ = offsets_[0];
     slice_end_ = offsets_[e - b];
   }

@@ -147,7 +147,13 @@ int AdaptationDaemon::ProcessShard(int shard) {
 }
 
 bool AdaptationDaemon::ProcessSlot(ArraySlot& slot, bool backpressure) {
-  const SlotSample sample = slot.DrainSample();
+  // A worker that stole this slot's shard can reach the slot while the
+  // shard's owner is still draining it (the queue re-arms the slot before
+  // the drain runs); the loser of the drain claim leaves the slot alone.
+  SlotSample sample;
+  if (!slot.TryDrainSample(&sample)) {
+    return false;
+  }
   const uint64_t accesses = sample.reads() + sample.writes;
   if (accesses == 0) {
     // Idle slot: nothing was sampled, nothing is dropped.

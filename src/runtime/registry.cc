@@ -24,6 +24,20 @@ std::function<void(ArraySlot&)> PrePublishHook() {
   return g_pre_publish_hook;
 }
 
+// Drain test hook (testing::SetDrainHook). The daemon drains every queued
+// slot each pass, so an unset hook costs one relaxed load, not the mutex.
+std::mutex g_drain_mu;
+std::function<void(ArraySlot&)> g_drain_hook;
+std::atomic<bool> g_drain_hook_set{false};
+
+std::function<void(ArraySlot&)> DrainHook() {
+  if (!g_drain_hook_set.load(std::memory_order_relaxed)) {
+    return nullptr;
+  }
+  std::lock_guard<std::mutex> lock(g_drain_mu);
+  return g_drain_hook;
+}
+
 // FNV-1a. Stable across runs (no seed): shard addressing and table probing
 // both key off it, and tests rely on deterministic shard assignment.
 uint64_t HashName(std::string_view name) {
@@ -62,6 +76,12 @@ namespace testing {
 void SetPrePublishHook(std::function<void(ArraySlot&)> hook) {
   std::lock_guard<std::mutex> lock(g_pre_publish_mu);
   g_pre_publish_hook = std::move(hook);
+}
+
+void SetDrainHook(std::function<void(ArraySlot&)> hook) {
+  std::lock_guard<std::mutex> lock(g_drain_mu);
+  g_drain_hook_set.store(hook != nullptr, std::memory_order_relaxed);
+  g_drain_hook = std::move(hook);
 }
 
 }  // namespace testing
@@ -371,7 +391,7 @@ bool ArraySlot::TryWrite(uint64_t index, uint64_t value) {
   SA_CHECK(index < length_);
   std::lock_guard<std::mutex> lock(write_mu_);
   ArrayVersion* version = current_.load(std::memory_order_acquire);
-  if ((value & ~version->storage->max_value()) != 0) {
+  if (!version->Admits(index, value)) {
     return false;
   }
   SA_OBS_COUNT(kSlotWrites);
@@ -404,7 +424,7 @@ bool ArraySlot::TryFetchAdd(uint64_t index, uint64_t delta, uint64_t* old_value)
   smart::SmartArray& storage = *version->storage;
   const uint64_t old = storage.Get(index, storage.GetReplicaForCurrentThread());
   const uint64_t next = (old + delta) & MaskForBits(declared_bits());
-  if ((next & ~storage.max_value()) != 0) {
+  if (!version->Admits(index, next)) {
     return false;
   }
   SA_OBS_COUNT(kSlotFetchAdds);
@@ -472,6 +492,20 @@ SlotSample ArraySlot::DrainSample() {
   drained_ = total;
   last_drain_ = now;
   return delta;
+}
+
+bool ArraySlot::TryDrainSample(SlotSample* sample) {
+  // The acquire/release pair orders each drain's reads and writes of
+  // drained_ and last_drain_ after the previous holder's.
+  if (draining_.exchange(true, std::memory_order_acquire)) {
+    return false;
+  }
+  if (auto hook = DrainHook()) {
+    hook(*this);
+  }
+  *sample = DrainSample();
+  draining_.store(false, std::memory_order_release);
+  return true;
 }
 
 SlotSample ArraySlot::LifetimeSample() const {

@@ -76,6 +76,14 @@ struct ArrayVersion {
   // Copied from Options::counter_flush_sample_shift so a snapshot learns
   // its flush policy from the version line it reads anyway.
   uint32_t flush_shift = 0;
+
+  // Whether the storage can take `value` at `index`: an inline width check
+  // for bit-packed storage (the service write path makes no virtual call),
+  // the encoding's own check otherwise.
+  bool Admits(uint64_t index, uint64_t value) const {
+    return codec != nullptr ? (value & ~storage->max_value()) == 0
+                            : storage->Admits(index, value);
+  }
 };
 
 // Interval sample of a slot's workload counters (drained by the daemon).
@@ -225,8 +233,9 @@ class ArraySlot {
   // observed data width, so writes are checked against the live width).
   void Write(uint64_t index, uint64_t value);
 
-  // Failable Write: false when `value` does not fit the live storage width
-  // (the admissible outcome under open-loop traffic; Write aborts instead).
+  // Failable Write: false when the live storage cannot hold `value` — it
+  // exceeds the live width, or a kForDelta chunk's frame — the admissible
+  // outcome under open-loop traffic; Write aborts instead.
   bool TryWrite(uint64_t index, uint64_t value);
 
   // Atomic-with-respect-to-writers read-modify-write: returns the old value
@@ -234,8 +243,9 @@ class ArraySlot {
   // wrapped result does not fit the live storage width.
   uint64_t FetchAdd(uint64_t index, uint64_t delta);
 
-  // Failable FetchAdd: stores nothing and returns false on live-storage
-  // overflow; otherwise *old_value gets the previous value.
+  // Failable FetchAdd: stores nothing and returns false when the live
+  // storage cannot hold the result (as for TryWrite); otherwise *old_value
+  // gets the previous value.
   bool TryFetchAdd(uint64_t index, uint64_t delta, uint64_t* old_value);
 
   // ---- workload counters ----
@@ -266,8 +276,14 @@ class ArraySlot {
   }
 
   // Counters accumulated since the previous drain, with the elapsed wall
-  // time. Single consumer (the daemon).
+  // time. Single consumer: callers that may race another drainer of the
+  // same slot (daemon workers) go through TryDrainSample.
   SlotSample DrainSample();
+  // DrainSample under an exclusive per-slot claim. A caller that loses the
+  // claim to a drain in progress gets false and skips the slot; nothing is
+  // lost, because the counters are cumulative and the next drain reads
+  // them.
+  bool TryDrainSample(SlotSample* sample);
   // Lifetime totals (for the §6.1 pass-amortization hints).
   SlotSample LifetimeSample() const;
 
@@ -339,7 +355,8 @@ class ArraySlot {
   // upload traffic the adaptation hints ignore.
   std::atomic<uint64_t> sealed_writes_{0};
 
-  // Daemon-side drain bookkeeping (single consumer).
+  // Daemon-side drain bookkeeping, owned by whoever holds draining_.
+  std::atomic<bool> draining_{false};
   SlotSample drained_{};
   std::chrono::steady_clock::time_point last_drain_;
 
@@ -450,6 +467,12 @@ namespace testing {
 // publish-refusal (lost-write) path is exercised deterministically; pass
 // nullptr to clear. Not for production use.
 void SetPrePublishHook(std::function<void(ArraySlot&)> hook);
+
+// Test-only seam: `hook` runs inside every ArraySlot::TryDrainSample, after
+// the drain claim is taken and before the counters are read. Tests hold a
+// drain here to let a second daemon worker reach the same slot; pass
+// nullptr to clear. Not for production use.
+void SetDrainHook(std::function<void(ArraySlot&)> hook);
 
 }  // namespace testing
 

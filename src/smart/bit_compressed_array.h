@@ -77,6 +77,25 @@ class BitCompressedArray final : public SmartArray {
     }
   }
 
+  // Branch-free Get for random gathers. GetImpl branches on whether the
+  // element straddles two words, which a random index mispredicts about
+  // BITS/64 of the time; this always reads the element's word and the next
+  // one. Chunk c's words follow chunk c-1's, so element i starts at bit
+  // i * BITS of one bit stream. The caller must own a spare chunk after the
+  // last element it reads (arrays allocated one chunk longer than used).
+  static uint64_t GetPaddedImpl(const uint64_t* replica, uint64_t index) {
+    if constexpr (BITS == 64 || BITS == 32) {
+      return GetImpl(replica, index);
+    } else {
+      const uint64_t bit = index * BITS;
+      const uint64_t word = bit / kWordBits;
+      const uint32_t shift = static_cast<uint32_t>(bit % kWordBits);
+      // (x << 1) << (63 - shift) is x << (64 - shift), and 0 when shift is 0.
+      return ((replica[word] >> shift) | ((replica[word + 1] << 1) << (kWordBits - 1 - shift))) &
+             kMask;
+    }
+  }
+
   // ---- Function 2 (per replica): init(index, value) ----
   static void InitImpl(uint64_t* replica, uint64_t index, uint64_t value) {
     SA_DCHECK((value & ~kMask) == 0);

@@ -98,11 +98,16 @@ double ForDeltaArray::EstimateDeltaRatio(const SmartArray& source) {
   return static_cast<double>(delta_bits) / static_cast<double>(source.bits());
 }
 
-uint64_t ForDeltaArray::DeltaForWrite(uint64_t index, uint64_t value) const {
+bool ForDeltaArray::Admits(uint64_t index, uint64_t value) const {
   const uint64_t base = bases_[index / kChunkElems];
-  SA_CHECK_MSG(value >= base && value - base <= LowMask(storage_bits()),
+  return SmartArray::Admits(index, value) && value >= base &&
+         value - base <= LowMask(storage_bits());
+}
+
+uint64_t ForDeltaArray::DeltaForWrite(uint64_t index, uint64_t value) const {
+  SA_CHECK_MSG(Admits(index, value),
                "for-delta write outside the chunk frame: restructure to bit-packed first");
-  return value - base;
+  return value - bases_[index / kChunkElems];
 }
 
 void ForDeltaArray::Init(uint64_t index, uint64_t value) {

@@ -13,7 +13,8 @@
 //
 // The encoding is read-optimized and the daemon only selects it for sealed
 // read-only slots: writes are accepted but must stay within the chunk's
-// frame ([base, base + max_delta]); a write outside the frame aborts.
+// frame ([base, base + max_delta]); a write outside the frame aborts, and
+// Admits() lets failable callers refuse it first.
 #ifndef SA_SMART_FOR_DELTA_H_
 #define SA_SMART_FOR_DELTA_H_
 
@@ -47,6 +48,8 @@ class ForDeltaArray final : public SmartArray {
   void Init(uint64_t index, uint64_t value) override;
   void InitAtomic(uint64_t index, uint64_t value) override;
   uint64_t Get(uint64_t index, const uint64_t* replica) const override;
+  // True when `value` fits the width and `index`'s chunk frame.
+  bool Admits(uint64_t index, uint64_t value) const override;
   void Unpack(uint64_t chunk, const uint64_t* replica, uint64_t* out) const override;
 
   uint64_t RangeSum(const uint64_t* replica, uint64_t begin, uint64_t end) const override;

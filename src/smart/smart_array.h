@@ -58,6 +58,9 @@ class SmartArray {
     return placement_.kind == Placement::kSingleSocket ? placement_.socket : -1;
   }
   const PlacementSpec& placement() const { return placement_; }
+  // Topology the replicas were placed against (kernels allocating scratch
+  // arrays beside their inputs place them on the same machine shape).
+  const platform::Topology& topology() const { return topology_; }
 
   int num_replicas() const { return static_cast<int>(regions_.size()); }
 
@@ -87,6 +90,13 @@ class SmartArray {
 
   // Convenience Get from the current thread's replica.
   uint64_t Get(uint64_t index) const { return Get(index, GetReplicaForCurrentThread()); }
+
+  // Whether Init/InitAtomic can store `value` at `index` without aborting:
+  // it fits the width here; encodings with per-chunk frames narrow that.
+  virtual bool Admits(uint64_t index, uint64_t value) const {
+    (void)index;
+    return (value & ~max_value()) == 0;
+  }
 
   // Decodes the 64 elements of `chunk` from `replica` into out[0..63].
   virtual void Unpack(uint64_t chunk, const uint64_t* replica, uint64_t* out) const = 0;

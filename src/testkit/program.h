@@ -48,7 +48,7 @@ enum class OpKind : uint8_t {
   // the upload+traversal races live restructures of the graph's own slots.
   kGraphBfs,      // BFS levels from source b % nv
   kGraphCc,       // connected components (undirected label propagation)
-  kGraphTri,      // triangle count (ordered-neighbor intersection)
+  kGraphTri,      // triangle count (degree-ordered orientation vs the id-ordered oracle)
   // Pushdown scans (scan_ops scenarios): range = sorted (a,b) % (len+1),
   // comparison op = c % 6, constant picked by c from a boundary ladder
   // (0 / 1 / mid / max / max+1, the normalization edges) or a c-derived

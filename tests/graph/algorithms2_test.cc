@@ -112,20 +112,39 @@ TEST_F(Algorithms2Test, ComponentCountMatchesBfsReachability) {
 // ---- Triangle counting ----
 
 TEST_F(Algorithms2Test, TrianglesHandExamples) {
-  // A single directed triangle.
-  EXPECT_EQ(CountTriangles(CsrGraph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}})), 1u);
-  // Direction must not matter.
-  EXPECT_EQ(CountTriangles(CsrGraph::FromEdges(3, {{0, 1}, {2, 1}, {2, 0}})), 1u);
-  // A 4-clique has 4 triangles.
-  EXPECT_EQ(CountTriangles(CsrGraph::FromEdges(
-                4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})),
-            4u);
-  // Parallel edges and self-loops add nothing.
-  EXPECT_EQ(CountTriangles(CsrGraph::FromEdges(
-                3, {{0, 1}, {0, 1}, {1, 2}, {2, 0}, {1, 1}})),
-            1u);
-  // A path has none.
-  EXPECT_EQ(CountTriangles(CsrGraph::FromEdges(3, {{0, 1}, {1, 2}})), 0u);
+  const struct {
+    const char* name;
+    CsrGraph graph;
+    uint64_t triangles;
+  } examples[] = {
+      {"directed triangle", CsrGraph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}}), 1},
+      // Direction must not matter.
+      {"mixed directions", CsrGraph::FromEdges(3, {{0, 1}, {2, 1}, {2, 0}}), 1},
+      {"4-clique", CsrGraph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}), 4},
+      // Parallel edges and self-loops add nothing.
+      {"duplicates", CsrGraph::FromEdges(3, {{0, 1}, {0, 1}, {1, 2}, {2, 0}, {1, 1}}), 1},
+      {"both directions", CsrGraph::FromEdges(3, {{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}}), 1},
+      {"path", CsrGraph::FromEdges(3, {{0, 1}, {1, 2}}), 0},
+      {"empty", CsrGraph::FromEdges(0, {}), 0},
+      {"self-loop", CsrGraph::FromEdges(1, {{0, 0}}), 0},
+  };
+  for (const auto& example : examples) {
+    EXPECT_EQ(CountTriangles(example.graph), example.triangles) << example.name;
+    EXPECT_EQ(CountTrianglesOriented(example.graph), example.triangles) << example.name;
+  }
+}
+
+// The serial degree-ordered count against the id-ordered oracle, on both
+// generators at several seeds.
+TEST_F(Algorithms2Test, TrianglesOrientedMatchesReference) {
+  for (const uint64_t seed : {1, 2, 3, 4, 5}) {
+    const CsrGraph uniform = UniformRandomGraph(3000, 6, seed);
+    EXPECT_EQ(CountTrianglesOriented(uniform), CountTriangles(uniform)) << "uniform " << seed;
+    const CsrGraph power_law = PowerLawGraph(3000, 24000, 0.6, seed);
+    const uint64_t want = CountTriangles(power_law);
+    EXPECT_GT(want, 0u);
+    EXPECT_EQ(CountTrianglesOriented(power_law), want) << "power-law " << seed;
+  }
 }
 
 TEST_F(Algorithms2Test, TrianglesSmartMatchesReference) {

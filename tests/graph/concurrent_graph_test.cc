@@ -10,10 +10,13 @@
 // through epoch-pinned snapshots, which is the race-free production shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/algorithms.h"
 #include "graph/algorithms2.h"
 #include "graph/concurrent.h"
@@ -271,7 +274,8 @@ TEST_F(ConcurrentGraphTest, PinnedSnapshotSurvivesConcurrentPublish) {
 // algorithms leave recognizably different mixes: degree centrality streams
 // the offset arrays once and never touches edges; PageRank streams the
 // reverse pair once per iteration and gathers the degree property at every
-// in-edge. The tallies are exact: they are what the daemon adapts from.
+// in-edge; triangle counting only streams. The tallies are exact: they are
+// what the daemon adapts from.
 TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   const CsrGraph csr = UniformRandomGraph(/*num_vertices=*/200, /*out_degree=*/3, /*seed=*/4);
   RegistryCsrGraph g(registry_, "mix", csr, SmartGraphOptions{});
@@ -311,6 +315,22 @@ TEST_F(ConcurrentGraphTest, AccessMixReachesSlotCounters) {
   EXPECT_EQ(s[2].random_reads, 0u);
   EXPECT_EQ(s[0].reads(), 0u);
   EXPECT_EQ(s[1].reads(), 0u);
+
+  // Triangle counting streams each offset array twice (the rank keys, then
+  // the orientation) and each edge list once; its gathers hit only the
+  // call's own arrays.
+  snapshot = g.Pin();
+  CountTriangles(pool_, snapshot);
+  snapshot.Release();
+  s = drain();
+  EXPECT_EQ(s[0].sequential_reads, 2 * offsets);
+  EXPECT_EQ(s[2].sequential_reads, 2 * offsets);
+  EXPECT_EQ(s[1].sequential_reads, edges);
+  EXPECT_EQ(s[3].sequential_reads, edges);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(s[i].random_reads, 0u) << "slot " << i;
+  }
+  EXPECT_EQ(s[4].reads(), 0u);
 }
 
 // RegistryCsrGraph seals its five slots after upload, so the daemon's §6.1
@@ -451,6 +471,157 @@ TEST_F(MultiGrainGraphTest, KernelsMatchReferencesAcrossGrainsAndDecodeBlocks) {
       ExpectMatchesReference(g, csr, /*source=*/0, ref, "post-adaptation");
     }
   }
+}
+
+
+// The degree-ordered triangle kernel against the id-ordered oracle, on
+// graphs spanning more than three 16,384-vertex grains and built from the
+// shapes the orientation has to get right: duplicate edges in both
+// directions, self-loops, degree ties broken by id (one graph has every
+// vertex at the same degree), a vertex whose oriented list runs over several
+// chunks and holds ids from every grain, a hub whose in-list spans several
+// decode blocks, zero-degree vertices across a grain boundary, and the empty
+// and one-vertex graphs. Every case runs at the U, V and V+E widths and
+// again after the daemon narrows each slot to its own data width. The TSan
+// lane runs this fixture, so the graphs stay small.
+class OrientedTrianglesTest : public ConcurrentGraphTest {
+ protected:
+  static constexpr VertexId kVertices = 3 * rts::kDefaultGrain + 37;
+  static constexpr VertexId kQuietBegin = rts::kDefaultGrain - 300;
+  static constexpr VertexId kQuietEnd = rts::kDefaultGrain + 200;
+  // kLow and the kCore core vertices form a clique and have no other edges
+  // but the hub's, so they tie on degree and every core vertex outranks
+  // kLow by id.
+  static constexpr VertexId kLow = 3;
+  static constexpr VertexId kCore = 150;
+  static constexpr VertexId kHub = rts::kDefaultGrain + 5000;
+  static constexpr uint64_t kHubInDegree = 3 * GrainSlice::kEdgeBlock + 500;
+
+  static bool Quiet(VertexId v) {
+    return (v >= kQuietBegin && v < kQuietEnd) || v == kVertices - 1;
+  }
+
+  // Spread from the first grain to the last, stepping over the quiet run.
+  static std::vector<VertexId> Core() {
+    std::vector<VertexId> core;
+    for (VertexId j = 0; j < kCore; ++j) {
+      const VertexId v = 40 + j * (kVertices - 42) / (kCore - 1);
+      core.push_back(Quiet(v) || v == kHub ? v + 500 : v);
+    }
+    std::sort(core.begin(), core.end());
+    return core;
+  }
+
+  static CsrGraph ShapesGraph() {
+    const std::vector<VertexId> core = Core();
+    const auto in_core = [&core](VertexId v) {
+      return v == kLow || std::binary_search(core.begin(), core.end(), v);
+    };
+    Xoshiro256 rng(29);
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (VertexId v = 0; v < kVertices; ++v) {
+      for (int d = 0; d < 2; ++d) {
+        const auto u = static_cast<VertexId>(rng.Below(kVertices));
+        if (!Quiet(v) && !Quiet(u) && !in_core(v) && !in_core(u)) {
+          edges.emplace_back(v, u);
+        }
+      }
+    }
+    // Triangles whose edges repeat in both directions.
+    for (VertexId v = 100; v < 160; v += 3) {
+      for (int copy = 0; copy < 2; ++copy) {
+        edges.insert(edges.end(), {{v, v + 1}, {v + 1, v}, {v + 1, v + 2}, {v + 2, v}});
+      }
+    }
+    // Self-loops, one of them on a triangle vertex and one repeated.
+    edges.insert(edges.end(), {{100, 100}, {7777, 7777}, {7777, 7777}});
+    for (size_t i = 0; i < core.size(); ++i) {
+      edges.emplace_back(core[i], kLow);
+      for (size_t j = i + 1; j < core.size(); ++j) {
+        edges.emplace_back(i % 2 == 0 ? core[i] : core[j], i % 2 == 0 ? core[j] : core[i]);
+      }
+    }
+    for (uint64_t k = 0; k < kHubInDegree; ++k) {
+      const auto source = static_cast<VertexId>(2 * rts::kDefaultGrain + k);
+      if (!in_core(source)) {
+        edges.emplace_back(source, kHub);
+      }
+    }
+    return CsrGraph::FromEdges(kVertices, std::move(edges));
+  }
+
+  // Every vertex has degree 4: i -> i+1 and i -> i+2 around a ring.
+  static CsrGraph RegularGraph() {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (VertexId v = 0; v < kVertices; ++v) {
+      edges.emplace_back(v, (v + 1) % kVertices);
+      edges.emplace_back(v, (v + 2) % kVertices);
+    }
+    return CsrGraph::FromEdges(kVertices, std::move(edges));
+  }
+
+  // The oracle, the serial oriented count, then the kernel at every tier,
+  // before and after per-slot narrowing.
+  void ExpectOracle(const CsrGraph& csr, const std::string& name) {
+    const uint64_t want = CountTriangles(csr);
+    EXPECT_EQ(CountTrianglesOriented(csr), want) << name;
+    const struct {
+      const char* tier;
+      bool compress_indexes;
+      bool compress_edges;
+    } tiers[] = {{"U", false, false}, {"V", true, false}, {"V+E", true, true}};
+    for (const auto& tier : tiers) {
+      SmartGraphOptions options;
+      options.compress_indexes = tier.compress_indexes;
+      options.compress_edges = tier.compress_edges;
+      const std::string label = name + " " + tier.tier;
+      RegistryCsrGraph g(registry_, "tri." + label, csr, options);
+      GraphSnapshot snapshot = g.Pin();
+      EXPECT_EQ(CountTriangles(pool_, snapshot), want) << label;
+      snapshot.Release();
+
+      AdaptationDaemon daemon = MakeDaemon();
+      int published = 0;
+      for (runtime::ArraySlot* slot : g.slots()) {
+        published += daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)) ? 1 : 0;
+      }
+      if (!tier.compress_indexes && csr.num_edges() > 0) {
+        ASSERT_GT(published, 0) << label;  // the U tier has room to narrow
+      }
+      snapshot = g.Pin();
+      EXPECT_EQ(CountTriangles(pool_, snapshot), want) << label << " narrowed";
+      snapshot.Release();
+    }
+  }
+};
+
+TEST_F(OrientedTrianglesTest, ShapesAcrossGrainsMatchOracle) {
+  const CsrGraph csr = ShapesGraph();
+  const std::vector<VertexId> core = Core();
+  ASSERT_EQ(std::set<VertexId>(core.begin(), core.end()).size(), core.size());
+  // kLow's oriented list holds ids from every grain.
+  ASSERT_EQ(core.back() / rts::kDefaultGrain, 3u);
+  ASSERT_EQ(csr.OutDegree(kLow) + csr.InDegree(kLow), uint64_t{kCore});
+  ASSERT_EQ(csr.OutDegree(core[0]) + csr.InDegree(core[0]), uint64_t{kCore});
+  ASSERT_GE(csr.InDegree(kHub), kHubInDegree / 2);
+  for (VertexId v = kQuietBegin; v < kQuietEnd; ++v) {
+    ASSERT_EQ(csr.OutDegree(v) + csr.InDegree(v), 0u) << v;
+  }
+  ExpectOracle(csr, "shapes");
+}
+
+TEST_F(OrientedTrianglesTest, EqualDegreesBreakTiesById) {
+  const CsrGraph csr = RegularGraph();
+  for (VertexId v = 0; v < kVertices; v += 997) {
+    ASSERT_EQ(csr.OutDegree(v) + csr.InDegree(v), 4u) << v;
+  }
+  ExpectOracle(csr, "regular");
+}
+
+TEST_F(OrientedTrianglesTest, EmptyAndOneVertexGraphs) {
+  ExpectOracle(CsrGraph::FromEdges(0, {}), "empty");
+  ExpectOracle(CsrGraph::FromEdges(1, {}), "one vertex");
+  ExpectOracle(CsrGraph::FromEdges(1, {{0, 0}}), "one self-loop");
 }
 
 }  // namespace

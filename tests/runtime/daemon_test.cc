@@ -3,6 +3,7 @@
 // derivation, and the background-thread plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -224,6 +225,53 @@ TEST(DaemonWorkerSetTest, WorkersDrainSampleQueuesAcrossShards) {
   daemon.Stop();
   EXPECT_EQ(remaining, 0) << "worker set left sample queues undrained";
   EXPECT_GT(daemon.passes(), 0u);
+}
+
+// One shard, two workers. While one worker drains slot X, held inside the
+// drain by the test hook, new traffic re-queues X and the other worker
+// steals the due shard. The thief must skip X: without the per-slot drain
+// claim both workers drained X at once, racing on its drain bookkeeping
+// (TSan reported it in LiveDaemonTraversalsStayConsistent).
+TEST(DaemonWorkerSetTest, StolenShardSkipsSlotBeingDrained) {
+  const platform::Topology topo = platform::Topology::Synthetic(2, 2);
+  rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 2, .pin_threads = false});
+  ArrayRegistry registry(topo);  // single shard
+  ArraySlot* slot = registry.Create("drained", 64, smart::PlacementSpec::Interleaved(), 16);
+  slot->Write(0, 1);  // queues the slot for the first pass
+
+  DaemonOptions options;
+  options.interval = std::chrono::milliseconds(1);
+  options.num_workers = 2;
+  AdaptationDaemon daemon(registry, pool,
+                          adapt::MachineCaps::FromSpec(sim::MachineSpec::OracleX5_18Core()),
+                          adapt::ArrayCosts::FromCostModel(sim::CostModel::Default()),
+                          options);
+  std::atomic<int> drains{0};
+  std::atomic<bool> stolen{false};
+  testing::SetDrainHook([&](ArraySlot& s) {
+    if (&s != slot || drains.fetch_add(1) != 0) {
+      return;
+    }
+    // First drain: re-queue the slot, then hold the drain until the other
+    // worker has finished a pass over the shard.
+    s.Write(1, 1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (daemon.passes() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    stolen = daemon.passes() > 0;
+  });
+  daemon.Start();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (daemon.passes() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  daemon.Stop();
+  testing::SetDrainHook(nullptr);
+  EXPECT_TRUE(stolen) << "no second worker passed over the shard during the drain";
+  EXPECT_EQ(drains.load(), 1) << "a second worker drained the slot mid-drain";
+  // The skipped worker lost nothing: the held drain read both writes.
+  EXPECT_EQ(slot->DrainSample().writes, 0u);
 }
 
 #ifdef SA_OBS

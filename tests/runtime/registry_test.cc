@@ -316,5 +316,41 @@ TEST_F(ArrayRegistryTest, ForDeltaVersionServesReadsWritesAndScans) {
   EXPECT_EQ(after.Get(10), oracle[10] + 3);
 }
 
+
+// A kForDelta version holds each chunk to its frame, so a value that fits
+// the slot's width can still fall outside the frame. The failable writes
+// refuse it instead of aborting (the checked Write and FetchAdd still
+// abort); values inside the frame still land.
+TEST_F(ArrayRegistryTest, TryWritesRefuseValuesOutsideForDeltaFrames) {
+  const uint64_t n = 1024;
+  const uint64_t base = uint64_t{1} << 39;
+  ArraySlot* slot = registry_.Create("fd.frames", n, smart::PlacementSpec::Interleaved(), 40);
+  for (uint64_t i = 0; i < n; ++i) {
+    slot->Write(i, base + i % sa::kChunkElems);
+  }
+  slot->SealWrites();
+  {
+    ArraySnapshot snap = slot->Acquire();
+    auto fd = smart::ForDeltaArray::TryBuild(snap.array(), smart::PlacementSpec::Interleaved(),
+                                             0, topo_);
+    ASSERT_NE(fd, nullptr);
+    snap.Release();
+    ASSERT_TRUE(registry_.Publish(*slot, std::move(fd), slot->write_count()));
+  }
+  ASSERT_EQ(slot->Acquire().array().encoding(), smart::Encoding::kForDelta);
+
+  const uint64_t writes = slot->write_count();
+  EXPECT_FALSE(slot->TryWrite(5, 7));
+  uint64_t old = 0;
+  EXPECT_FALSE(slot->TryFetchAdd(5, uint64_t{1} << 38, &old));
+  EXPECT_EQ(slot->write_count(), writes);
+  EXPECT_EQ(slot->Acquire().Get(5), base + 5);
+
+  EXPECT_TRUE(slot->TryWrite(5, base + 9));
+  ASSERT_TRUE(slot->TryFetchAdd(5, 1, &old));
+  EXPECT_EQ(old, base + 9);
+  EXPECT_EQ(slot->Acquire().Get(5), base + 10);
+}
+
 }  // namespace
 }  // namespace sa::runtime
