@@ -47,6 +47,36 @@ void ForEachChunkSpan(uint64_t begin, uint64_t end, Fn&& fn) {
   }
 }
 
+// The exact [min, max] of `payload` elements [lo, hi), which must be
+// non-empty. Whole chunks answer from their exact zones (a final partial
+// chunk is whole when it ends at the payload's length); only ragged ends
+// decode, from `replica`.
+MinMax PayloadMinMax(const smart::SmartArray& payload, const uint64_t* replica, uint64_t lo,
+                     uint64_t hi) {
+  MinMax result;
+  ForEachChunkSpan(lo, hi, [&](uint64_t chunk, uint64_t b, uint64_t e) {
+    if (b % kChunkElems == 0 && (e % kChunkElems == 0 || e == payload.length())) {
+      result += {payload.ZoneMin(chunk), payload.ZoneMax(chunk)};
+      return;
+    }
+    uint64_t values[kChunkElems];
+    payload.RangeUnpack(replica, b, e, values);
+    const auto [min, max] = std::minmax_element(values, values + (e - b));
+    result += {*min, *max};
+  });
+  return result;
+}
+
+// Aborts unless [begin, end) of an array of `length` elements meets
+// EncodedArray::MinMax's contract: a chunk zone cannot answer part of its
+// chunk exactly.
+void CheckMinMaxRange(uint64_t begin, uint64_t end, uint64_t length) {
+  SA_CHECK_MSG(begin < end && end <= length && begin % kChunkElems == 0 &&
+                   (end % kChunkElems == 0 || end == length),
+               "MinMax ranges must be non-empty, start on a chunk and end on a chunk or at "
+               "length()");
+}
+
 }  // namespace
 
 uint64_t EncodedArray::footprint_bytes() const {
@@ -96,6 +126,11 @@ void BitPackedArray::Decode(uint64_t begin, uint64_t end, int socket, uint64_t* 
 uint64_t BitPackedArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                                   uint64_t* bitmap) const {
   return data_->SelectIf(data_->GetReplica(socket), begin, end, p, bitmap);
+}
+
+MinMax BitPackedArray::MinMax(uint64_t begin, uint64_t end, int socket) const {
+  CheckMinMaxRange(begin, end, length_);
+  return PayloadMinMax(*data_, data_->GetReplica(socket), begin, end);
 }
 
 // ---- DictionaryArray ----
@@ -166,6 +201,15 @@ smart::Predicate DictionaryArray::ToCodePredicate(smart::Predicate p) const {
 uint64_t DictionaryArray::SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                                    uint64_t* bitmap) const {
   return codes_->SelectIf(codes_->GetReplica(socket), begin, end, ToCodePredicate(p), bitmap);
+}
+
+MinMax DictionaryArray::MinMax(uint64_t begin, uint64_t end, int socket) const {
+  CheckMinMaxRange(begin, end, length_);
+  // Code order is value order, so the extreme codes stand for the extreme
+  // values.
+  const encodings::MinMax codes = PayloadMinMax(*codes_, codes_->GetReplica(socket), begin, end);
+  const uint64_t* dict = dictionary_->GetReplica(socket);
+  return {dict[codes.min], dict[codes.max]};
 }
 
 // ---- RunLengthArray ----
@@ -261,6 +305,14 @@ uint64_t RunLengthArray::SelectIf(uint64_t begin, uint64_t end, int socket, smar
   return count;
 }
 
+MinMax RunLengthArray::MinMax(uint64_t begin, uint64_t end, int socket) const {
+  CheckMinMaxRange(begin, end, length_);
+  const uint64_t* starts = run_starts_->GetReplica(socket);
+  const uint64_t first = FindRun(begin, starts);
+  const uint64_t last = FindRun(end - 1, starts);
+  return PayloadMinMax(*run_values_, run_values_->GetReplica(socket), first, last + 1);
+}
+
 // ---- FrameOfReferenceArray ----
 
 FrameOfReferenceArray::FrameOfReferenceArray(std::span<const uint64_t> values,
@@ -349,6 +401,16 @@ uint64_t FrameOfReferenceArray::SelectIf(uint64_t begin, uint64_t end, int socke
     }
   });
   return count;
+}
+
+MinMax FrameOfReferenceArray::MinMax(uint64_t begin, uint64_t end, int socket) const {
+  CheckMinMaxRange(begin, end, length_);
+  const uint64_t* bases = bases_->GetReplica(socket);
+  encodings::MinMax result;
+  for (uint64_t chunk = begin / kChunkElems; chunk * kChunkElems < end; ++chunk) {
+    result += {bases[chunk] + deltas_->ZoneMin(chunk), bases[chunk] + deltas_->ZoneMax(chunk)};
+  }
+  return result;
 }
 
 }  // namespace sa::encodings

@@ -4,12 +4,14 @@
 //
 // Every payload is packed once at Encode time, chunk by chunk, with its
 // exact [min, max] zone installed, and is never written again. Scans can
-// therefore trust the zones to prune chunks (SmartArray::SelectIf), and
-// every encoding answers predicates on its encoded form (SelectIf) instead
-// of decoding first.
+// therefore trust the zones to prune chunks (SmartArray::SelectIf), every
+// encoding answers predicates on its encoded form (SelectIf) instead of
+// decoding first, and MIN/MAX over whole chunks reads only metadata
+// (MinMax).
 #ifndef SA_ENCODINGS_ENCODED_ARRAY_H_
 #define SA_ENCODINGS_ENCODED_ARRAY_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
@@ -22,6 +24,20 @@
 #include "smart/smart_array.h"
 
 namespace sa::encodings {
+
+// The exact [min, max] of a set of values. The default is the empty set's
+// (min > max), and += merges two sets, so rts::ParallelReduce folds
+// per-grain answers.
+struct MinMax {
+  uint64_t min = ~uint64_t{0};
+  uint64_t max = 0;
+
+  MinMax& operator+=(const MinMax& o) {
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    return *this;
+  }
+};
 
 class EncodedArray {
  public:
@@ -47,6 +63,16 @@ class EncodedArray {
   // first. Returns the match count.
   virtual uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                             uint64_t* bitmap) const = 0;
+
+  // The exact [min, max] of elements [begin, end), answered from metadata
+  // the encoding already stores, never from decoded rows: the payload's
+  // chunk zones (bit-packed), the codes' zones through the sorted
+  // dictionary (dictionary), each chunk's base plus its delta zone
+  // (frame-of-reference), or the values of the runs that overlap the range
+  // (run-length). Zones are per 64-element chunk, so the range must be
+  // non-empty, start on a chunk and end on a chunk or at length() (the
+  // grains the table operators run in); other ranges abort.
+  virtual encodings::MinMax MinMax(uint64_t begin, uint64_t end, int socket) const = 0;
 
   // The smart arrays holding the encoded payload.
   virtual std::vector<const smart::SmartArray*> payloads() const = 0;
@@ -79,6 +105,7 @@ class BitPackedArray final : public EncodedArray {
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
   uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                     uint64_t* bitmap) const override;
+  encodings::MinMax MinMax(uint64_t begin, uint64_t end, int socket) const override;
   std::vector<const smart::SmartArray*> payloads() const override { return {data_.get()}; }
 
  private:
@@ -96,6 +123,7 @@ class DictionaryArray final : public EncodedArray {
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
   uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                     uint64_t* bitmap) const override;
+  encodings::MinMax MinMax(uint64_t begin, uint64_t end, int socket) const override;
   std::vector<const smart::SmartArray*> payloads() const override {
     return {dictionary_.get(), codes_.get()};
   }
@@ -126,6 +154,7 @@ class RunLengthArray final : public EncodedArray {
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
   uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                     uint64_t* bitmap) const override;
+  encodings::MinMax MinMax(uint64_t begin, uint64_t end, int socket) const override;
   std::vector<const smart::SmartArray*> payloads() const override {
     return {run_starts_.get(), run_values_.get()};
   }
@@ -156,6 +185,7 @@ class FrameOfReferenceArray final : public EncodedArray {
   void Decode(uint64_t begin, uint64_t end, int socket, uint64_t* out) const override;
   uint64_t SelectIf(uint64_t begin, uint64_t end, int socket, smart::Predicate p,
                     uint64_t* bitmap) const override;
+  encodings::MinMax MinMax(uint64_t begin, uint64_t end, int socket) const override;
   std::vector<const smart::SmartArray*> payloads() const override {
     return {bases_.get(), deltas_.get()};
   }

@@ -83,8 +83,9 @@ double EstimateBitsPerElement(Encoding encoding, const DataStats& stats) {
       return code_bits + dict_bits;
     }
     case Encoding::kRunLength: {
-      // Per run: a 64-bit start offset plus a packed value.
-      const double per_run = 64.0 + BitsForValue(stats.max_value);
+      // Per run: a start offset packed to the widest index plus a packed
+      // value, as RunLengthArray stores them.
+      const double per_run = BitsForValue(stats.count - 1) + BitsForValue(stats.max_value);
       return per_run * static_cast<double>(stats.runs) / n;
     }
     case Encoding::kFrameOfReference: {

@@ -53,6 +53,10 @@ struct Term {
   smart::Predicate predicate;
 };
 
+// The conjunction's terms, smallest column first (stable, so ties keep the
+// caller's order). A grain's first term is always scanned in full and later
+// ones only while rows survive (SelectGrain), so a run-length or dictionary
+// term empties most grains before a wide column is read.
 std::vector<Term> ToTerms(const Table& table, const std::vector<Predicate>& predicates) {
   std::vector<Term> terms;
   for (const Predicate& p : predicates) {
@@ -62,6 +66,9 @@ std::vector<Term> ToTerms(const Table& table, const std::vector<Predicate>& pred
       terms.push_back({column, lowered.terms[i]});
     }
   }
+  std::stable_sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
+    return a.column->footprint_bytes() < b.column->footprint_bytes();
+  });
   return terms;
 }
 
@@ -74,7 +81,6 @@ struct Scratch {
   std::vector<uint64_t> values;    // decoded value column
   std::vector<uint64_t> sums;      // group sums by dictionary code
   std::map<uint64_t, uint64_t> groups;
-  MinMax min_max{~uint64_t{0}, 0};
 };
 
 uint64_t* Reserve(std::vector<uint64_t>& buffer, uint64_t n) {
@@ -280,24 +286,13 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
 
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column) {
   const encodings::EncodedArray& values = table.column(column);
-  rts::WorkerLocal<Scratch> scratch(pool.num_workers());
-  rts::ParallelFor(pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
-    Scratch& s = scratch[worker];
-    uint64_t* rows = Reserve(s.values, kGrain);
-    values.Decode(b, e, pool.worker_socket(worker), rows);
-    MinMax mm = s.min_max;  // a local, so the loop does not store through `rows`' alias
-    for (uint64_t i = 0; i < e - b; ++i) {
-      mm.min = std::min(mm.min, rows[i]);
-      mm.max = std::max(mm.max, rows[i]);
-    }
-    s.min_max = mm;
-  });
-  MinMax result{~uint64_t{0}, 0};
-  scratch.ForEach([&](int, const Scratch& s) {
-    result.min = std::min(result.min, s.min_max.min);
-    result.max = std::max(result.max, s.min_max.max);
-  });
-  return result;
+  // Grains start on a chunk and end on one or at the last row, as the
+  // metadata-only MinMax requires.
+  static_assert(kGrain % kChunkElems == 0);
+  return rts::ParallelReduce<MinMax>(
+      pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
+        return values.MinMax(b, e, pool.worker_socket(worker));
+      });
 }
 
 }  // namespace sa::table

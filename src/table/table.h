@@ -5,9 +5,11 @@
 // column-scan literature its bit compression comes from [43, 59]. This
 // substrate is that workload made concrete: a read-only table whose columns
 // are EncodedArrays (each picking its own technique and inheriting the NUMA
-// placement), scanned on the Callisto-style runtime by operators that
-// evaluate predicates on the encoded payloads (EncodedArray::SelectIf) and
-// decode only the rows a query still needs.
+// placement), scanned on the Callisto-style runtime by operators that read
+// metadata before rows: MIN/MAX answers from the exact per-chunk zones
+// (EncodedArray::MinMax), predicates run on the encoded payloads
+// (EncodedArray::SelectIf) smallest column first, and only the rows a query
+// still needs are decoded.
 #ifndef SA_TABLE_TABLE_H_
 #define SA_TABLE_TABLE_H_
 
@@ -74,7 +76,10 @@ struct Predicate {
   bool Matches(uint64_t v) const;
 };
 
-// SELECT COUNT(*) WHERE all predicates hold.
+// SELECT COUNT(*) WHERE all predicates hold. Per grain, the terms run
+// smallest column (footprint_bytes) first, and the rest are skipped once no
+// row survives; the answer does not depend on the order. SumWhere runs its
+// predicates the same way.
 uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
                     const std::vector<Predicate>& predicates);
 
@@ -88,11 +93,9 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
                                                       const std::string& key_column,
                                                       const std::string& value_column);
 
-// SELECT MIN(col), MAX(col).
-struct MinMax {
-  uint64_t min = 0;
-  uint64_t max = 0;
-};
+// SELECT MIN(col), MAX(col), answered per grain from the column's exact
+// chunk zones (EncodedArray::MinMax) without decoding a row.
+using encodings::MinMax;
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column);
 
 }  // namespace sa::table

@@ -1,11 +1,14 @@
-// Round-trip, footprint, zone-map and pushdown properties of every
-// encoding x placement.
+// Round-trip, footprint, zone-map, pushdown and metadata-only MIN/MAX
+// properties of every encoding x placement.
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "encodings/encoded_array.h"
+#include "obs/telemetry.h"
+#include "rts/parallel_for.h"
+#include "table/table.h"
 
 namespace sa::encodings {
 namespace {
@@ -141,6 +144,63 @@ TEST_P(EncodedArrayTest, SelectIfMatchesScalarOracle) {
   }
 }
 
+// Values falling in runs of 150 across chunk boundaries, descending.
+std::vector<uint64_t> LongRunData(size_t n) {
+  std::vector<uint64_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = 5'000 - i / 150;
+  }
+  return v;
+}
+
+// MinMax answers from metadata exactly what brute force over the raw values
+// gives, on every replica: each chunk alone (the first and the last partial
+// one included), a middle run of chunks, the tail from a middle chunk and the
+// whole array; on full-64-bit data with 0 and UINT64_MAX present, one-row and
+// constant columns.
+TEST_P(EncodedArrayTest, MinMaxMatchesBruteForce) {
+  const std::vector<uint64_t> columns[] = {
+      MixedData(5'000),  WideData(5'000),
+      WideData(777),     LongRunData(5'000),
+      {42},              {~uint64_t{0}},
+      std::vector<uint64_t>(1'000, 7),
+      std::vector<uint64_t>(130, ~uint64_t{0})};
+  for (const auto& values : columns) {
+    const uint64_t n = values.size();
+    const auto array =
+        EncodedArray::Encode(values, GetParam(), smart::PlacementSpec::Replicated(), topo_);
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = {{0, n}};
+    const uint64_t chunks = (n + kChunkElems - 1) / kChunkElems;
+    for (uint64_t chunk = 0; chunk < chunks; ++chunk) {
+      ranges.emplace_back(chunk * kChunkElems, std::min(n, (chunk + 1) * kChunkElems));
+    }
+    if (chunks > 4) {
+      ranges.emplace_back(kChunkElems, (chunks - 2) * kChunkElems);
+      ranges.emplace_back(chunks / 2 * kChunkElems, n);
+    }
+    for (const auto& [begin, end] : ranges) {
+      const auto [min, max] = std::minmax_element(values.begin() + begin, values.begin() + end);
+      for (const int socket : {0, 1}) {
+        const MinMax got = array->MinMax(begin, end, socket);
+        ASSERT_EQ(got.min, *min) << "n=" << n << " [" << begin << ", " << end << ")";
+        ASSERT_EQ(got.max, *max) << "n=" << n << " [" << begin << ", " << end << ")";
+      }
+    }
+  }
+}
+
+// Ranges a chunk zone cannot answer exactly abort rather than answer
+// approximately.
+TEST_P(EncodedArrayTest, MinMaxRejectsRangesOffTheChunkGrid) {
+  const auto values = MixedData(1'000);
+  const auto array =
+      EncodedArray::Encode(values, GetParam(), smart::PlacementSpec::OsDefault(), topo_);
+  EXPECT_DEATH(array->MinMax(1, 2 * kChunkElems, 0), "MinMax ranges");
+  EXPECT_DEATH(array->MinMax(0, kChunkElems + 1, 0), "MinMax ranges");
+  EXPECT_DEATH(array->MinMax(kChunkElems, kChunkElems, 0), "MinMax ranges");
+  EXPECT_DEATH(array->MinMax(0, 1'001, 0), "MinMax ranges");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEncodings, EncodedArrayTest,
                          ::testing::Values(Encoding::kBitPacked, Encoding::kDictionary,
                                            Encoding::kRunLength, Encoding::kFrameOfReference),
@@ -214,6 +274,30 @@ TEST(EncodedArrayAutoTest, AutoSelectionMatchesChooser) {
   EXPECT_EQ(array->encoding(), ChooseEncoding(AnalyzeValues(runs)));
   EXPECT_EQ(array->encoding(), Encoding::kRunLength);
   EXPECT_EQ(array->Get(12'345, 0), runs[12'345]);
+}
+
+// MIN/MAX reads chunk metadata only: over bit-packed, dictionary and
+// frame-of-reference columns, MinMaxOf decodes no payload range.
+TEST(MinMaxTelemetryTest, MinMaxOfDecodesNoRows) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out (SA_OBS=OFF)";
+  }
+  const auto topo = platform::Topology::Synthetic(2, 2);
+  rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  const auto values = MixedData(3 * rts::kDefaultGrain + 100);
+  table::Table::Builder builder;
+  builder.AddColumn("bit-packed", values, Encoding::kBitPacked)
+      .AddColumn("dictionary", values, Encoding::kDictionary)
+      .AddColumn("frame-of-reference", values, Encoding::kFrameOfReference);
+  const table::Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo);
+  const auto [min, max] = std::minmax_element(values.begin(), values.end());
+  for (const std::string& column : t.column_names()) {
+    const uint64_t unpacks = obs::CounterValue(obs::kUnpackRangeCalls);
+    const table::MinMax got = table::MinMaxOf(pool, t, column);
+    EXPECT_EQ(obs::CounterValue(obs::kUnpackRangeCalls), unpacks) << column;
+    EXPECT_EQ(got.min, *min) << column;
+    EXPECT_EQ(got.max, *max) << column;
+  }
 }
 
 TEST(RunLengthArrayTest, RunBoundaryAccess) {

@@ -1,8 +1,12 @@
 // Statistics and technique selection (§7's "dynamically select the correct
 // technique").
+#include <algorithm>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "encodings/encoded_array.h"
 #include "encodings/encoding.h"
 
 namespace sa::encodings {
@@ -40,6 +44,19 @@ std::vector<uint64_t> SmallUniform(size_t n) {
   Xoshiro256 rng(3);
   for (auto& x : v) {
     x = rng.Below(1 << 10);  // dense 10-bit values
+  }
+  return v;
+}
+
+std::vector<uint64_t> RunsOf(size_t n, size_t run) {
+  std::vector<uint64_t> v(n);
+  Xoshiro256 rng(run);
+  uint64_t current = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % run == 0) {
+      current = rng.Below(1 << 20);  // 20-bit run values
+    }
+    v[i] = current;
   }
   return v;
 }
@@ -85,6 +102,42 @@ TEST(ChooseEncodingTest, PicksFrameOfReferenceForClusteredLargeValues) {
 
 TEST(ChooseEncodingTest, KeepsBitPackingForDenseSmallValues) {
   EXPECT_EQ(ChooseEncoding(AnalyzeValues(SmallUniform(50'000))), Encoding::kBitPacked);
+}
+
+// The estimates price what each encoding really stores: on every column
+// shape, the chosen encoding's real footprint is within the chooser's own 5%
+// margin of the smallest of the four. Short runs are where a run-length
+// estimate that priced each start at 64 bits lost to bit packing.
+TEST(ChooseEncodingTest, ChosenFootprintIsWithinMarginOfSmallest) {
+  const auto topo = platform::Topology::Synthetic(1, 2);
+  constexpr size_t kRows = size_t{1} << 17;
+  const std::pair<const char*, std::vector<uint64_t>> columns[] = {
+      {"runs of 2", RunsOf(kRows, 2)},
+      {"runs of 3", RunsOf(kRows, 3)},
+      {"runs of 4", RunsOf(kRows, 4)},
+      {"runs of 8", RunsOf(kRows, 8)},
+      {"low cardinality", LowCardinality(kRows)},
+      {"clustered", ClusteredTimestamps(kRows)},
+      {"uniform", SmallUniform(kRows)},
+  };
+  for (const auto& [name, values] : columns) {
+    const Encoding chosen = ChooseEncoding(AnalyzeValues(values));
+    uint64_t chosen_bytes = 0;
+    uint64_t smallest = ~uint64_t{0};
+    for (const Encoding e : {Encoding::kBitPacked, Encoding::kDictionary, Encoding::kRunLength,
+                             Encoding::kFrameOfReference}) {
+      const uint64_t bytes =
+          EncodedArray::Encode(values, e, smart::PlacementSpec::OsDefault(), topo)
+              ->footprint_bytes();
+      smallest = std::min(smallest, bytes);
+      if (e == chosen) {
+        chosen_bytes = bytes;
+      }
+    }
+    EXPECT_LE(static_cast<double>(chosen_bytes) * 0.95, static_cast<double>(smallest))
+        << name << ": chose " << ToString(chosen) << " at " << chosen_bytes
+        << " bytes, smallest is " << smallest;
+  }
 }
 
 TEST(EstimateBitsTest, EstimatesAreOrderedSanely) {

@@ -2,7 +2,9 @@
 // the predicate column, every operator at boundary constants, ragged row
 // counts around the chunk and grain sizes, conjunctions and group-bys,
 // all against brute force over the raw columns.
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -96,6 +98,23 @@ class PushdownGridTest : public ::testing::TestWithParam<std::tuple<Encoding, ui
     EXPECT_EQ(SumWhere(pool_, *table_, "amount", predicates), sum) << what;
   }
 
+  // ExpectMatches on every order of `predicates`: the operators reorder the
+  // terms themselves, and no order may change an answer.
+  void ExpectMatchesInEveryOrder(const std::vector<Predicate>& predicates,
+                                 const std::string& what) {
+    std::vector<size_t> order(predicates.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    do {
+      std::vector<Predicate> permuted;
+      std::string label = what + ", order";
+      for (const size_t i : order) {
+        permuted.push_back(predicates[i]);
+        label += " " + std::to_string(i);
+      }
+      ExpectMatches(permuted, label);
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+
   platform::Topology topo_;
   rts::WorkerPool pool_;
   std::vector<uint64_t> key_;
@@ -131,15 +150,20 @@ TEST_P(PushdownGridTest, BetweenRanges) {
 
 TEST_P(PushdownGridTest, Conjunctions) {
   // Three columns, kNe on the encoded one.
-  ExpectMatches({{"key", Op::kNe, key_[key_.size() / 2], 0},
-                 {"other", Op::kGe, 4, 0},
-                 {"amount", Op::kLt, uint64_t{1} << 19, 0}},
-                "kNe conjunction");
+  ExpectMatchesInEveryOrder({{"key", Op::kNe, key_[key_.size() / 2], 0},
+                             {"other", Op::kGe, 4, 0},
+                             {"amount", Op::kLt, uint64_t{1} << 19, 0}},
+                            "kNe conjunction");
   // Empty result: key != min and key <= min cannot both hold.
   const std::vector<Predicate> empty = {
       {"key", Op::kNe, min_, 0}, {"amount", Op::kGe, 0, 0}, {"key", Op::kLe, min_, 0}};
   EXPECT_EQ(Expected(empty).first, 0u);
-  ExpectMatches(empty, "empty conjunction");
+  ExpectMatchesInEveryOrder(empty, "empty conjunction");
+  // A range on the encoded column and a selective term on a narrow one.
+  ExpectMatchesInEveryOrder({{"other", Op::kEq, 3, 0},
+                             {"key", Op::kBetween, min_ + 2, max_ - 2},
+                             {"amount", Op::kGe, uint64_t{1} << 18, 0}},
+                            "between conjunction");
   ExpectMatches({}, "no predicates");
 }
 
@@ -186,6 +210,35 @@ TEST(PushdownMergeTest, ManyGrainsAcrossWorkers) {
     EXPECT_EQ(CountWhere(pool, t, {{"key", Op::kGe, 3'000, 0}}), count) << encodings::ToString(e);
     EXPECT_EQ(SumWhere(pool, t, "amount", {{"key", Op::kGe, 3'000, 0}}), sum)
         << encodings::ToString(e);
+  }
+}
+
+// MinMaxOf merges every grain's answer: a minimum and a maximum placed alone
+// in the first, a middle or the last (partial) grain are found, whatever the
+// column's encoding.
+TEST(PushdownMergeTest, MinMaxFindsExtremesInAnyGrain) {
+  const platform::Topology topo = platform::Topology::Synthetic(2, 2);
+  rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  const uint64_t rows = 5 * rts::kDefaultGrain + 70;
+  const uint64_t middle = 2 * rts::kDefaultGrain + 7;
+  std::vector<uint64_t> base(rows);
+  for (uint64_t i = 0; i < rows; ++i) {
+    base[i] = 1'000 + (i / 100) % 7 * 100;  // runs of 100 over 7 values
+  }
+  const uint64_t placements[][2] = {{0, rows - 1}, {rows - 1, middle}, {middle, 0}};
+  for (const auto& [min_at, max_at] : placements) {
+    std::vector<uint64_t> values = base;
+    values[min_at] = 3;
+    values[max_at] = uint64_t{1} << 45;
+    for (const Encoding e : {Encoding::kBitPacked, Encoding::kDictionary, Encoding::kRunLength,
+                             Encoding::kFrameOfReference}) {
+      Table::Builder builder;
+      builder.AddColumn("v", values, e);
+      const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo);
+      const MinMax mm = MinMaxOf(pool, t, "v");
+      EXPECT_EQ(mm.min, 3u) << encodings::ToString(e) << " min at " << min_at;
+      EXPECT_EQ(mm.max, uint64_t{1} << 45) << encodings::ToString(e) << " max at " << max_at;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "obs/telemetry.h"
 #include "table/table.h"
 
 namespace sa::table {
@@ -146,6 +147,37 @@ TEST_F(TableTest, ForcedEncodingsStillAnswerCorrectly) {
     }
   }
   EXPECT_EQ(SumWhere(pool_, t, "price", {{"region", Predicate::Op::kEq, 1, 0}}), want);
+}
+
+// Conjunctions run smallest column first: with a wide bit-packed term listed
+// first and a run-length term that matches no row, every grain empties on the
+// run-length term and the bit-packed column is never scanned (its zone walk
+// would move the chunk counters).
+TEST_F(TableTest, ConjunctionScansSmallestColumnFirst) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out (SA_OBS=OFF)";
+  }
+  Xoshiro256 rng(6);
+  std::vector<uint64_t> wide(kRows);
+  std::vector<uint64_t> status(kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    wide[i] = rng.Below(uint64_t{1} << 40);
+    status[i] = (i / 5'000) % 4;
+  }
+  Table::Builder builder;
+  builder.AddColumn("wide", wide, encodings::Encoding::kBitPacked)
+      .AddColumn("status", status, encodings::Encoding::kRunLength);
+  const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo_);
+  ASSERT_LT(t.column("status").footprint_bytes(), t.column("wide").footprint_bytes());
+  const std::vector<Predicate> predicates = {{"wide", Predicate::Op::kLt, uint64_t{1} << 39, 0},
+                                             {"status", Predicate::Op::kEq, 7, 0}};
+  const uint64_t chunks = obs::CounterValue(obs::kScanChunksScanned) +
+                          obs::CounterValue(obs::kScanChunksSkipped);
+  EXPECT_EQ(CountWhere(pool_, t, predicates), 0u);
+  EXPECT_EQ(SumWhere(pool_, t, "wide", predicates), 0u);
+  EXPECT_EQ(obs::CounterValue(obs::kScanChunksScanned) +
+                obs::CounterValue(obs::kScanChunksSkipped),
+            chunks);
 }
 
 TEST_F(TableTest, BuilderRejectsSchemaErrors) {
