@@ -6,13 +6,14 @@
 #include <vector>
 
 #include "common/random.h"
-#include "encodings/encoded_array.h"
+#include "encodings/encoding.h"
 #include "platform/affinity.h"
 #include "report/table.h"
+#include "smart/restructure.h"
 
 namespace {
 
-using sa::encodings::Encoding;
+using sa::smart::Encoding;
 
 std::vector<uint64_t> MakeDataset(const std::string& kind, size_t n) {
   std::vector<uint64_t> v(n);
@@ -37,22 +38,23 @@ std::vector<uint64_t> MakeDataset(const std::string& kind, size_t n) {
   return v;
 }
 
-double ScanRate(const sa::encodings::EncodedArray& array) {
+double ScanRate(const sa::smart::SmartArray& array) {
   std::vector<uint64_t> out(array.length());
   const sa::platform::Stopwatch timer;
-  array.Decode(0, array.length(), 0, out.data());
+  array.RangeUnpack(array.GetReplica(0), 0, array.length(), out.data());
   volatile uint64_t sink = out[array.length() / 2];
   (void)sink;
   return static_cast<double>(array.length()) / timer.Seconds() / 1e6;
 }
 
-double RandomRate(const sa::encodings::EncodedArray& array) {
+double RandomRate(const sa::smart::SmartArray& array) {
   sa::Xoshiro256 rng(7);
   constexpr int kProbes = 200'000;
+  const uint64_t* replica = array.GetReplica(0);
   uint64_t sum = 0;
   const sa::platform::Stopwatch timer;
   for (int i = 0; i < kProbes; ++i) {
-    sum += array.Get(rng.Below(array.length()), 0);
+    sum += array.Get(rng.Below(array.length()), replica);
   }
   volatile uint64_t sink = sum;
   (void)sink;
@@ -81,8 +83,8 @@ int main() {
     sa::report::Table table(
         {"technique", "footprint", "bits/elem", "scan M/s", "random-get M/s"});
     for (const Encoding e : {Encoding::kBitPacked, Encoding::kDictionary, Encoding::kRunLength,
-                             Encoding::kFrameOfReference}) {
-      const auto array = sa::encodings::EncodedArray::Encode(values, e, placement, topo);
+                             Encoding::kForDelta}) {
+      const auto array = sa::smart::Encode(values, e, placement, topo);
       table.AddRow({std::string(ToString(e)) + (e == chosen ? " *" : ""),
                     sa::report::Num(array->footprint_bytes() / 1e6, 2) + " MB",
                     sa::report::Num(8.0 * array->footprint_bytes() / kN, 2),

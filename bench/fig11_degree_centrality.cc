@@ -40,7 +40,7 @@ void HostValidation() {
     sa::graph::SmartCsrGraph g(csr, options, topo, pool);
     auto out = sa::smart::SmartArray::Allocate(csr.num_vertices(),
                                                sa::smart::PlacementSpec::Interleaved(), 64, topo);
-    sa::graph::DegreeCentralitySmart(pool, g, out.get());
+    sa::graph::DegreeCentralitySmart(pool, g.view(), out.get());
     for (sa::graph::VertexId v = 0; v < csr.num_vertices(); v += 1009) {
       if (out->Get(v, out->GetReplica(0)) != want[v]) {
         std::printf("HOST VALIDATION FAILED at vertex %u\n", v);

@@ -52,7 +52,7 @@ void HostValidation() {
     options.compress_indexes = variant.index_bits != 64;
     options.compress_edges = variant.edge_bits != 32;
     sa::graph::SmartCsrGraph g(csr, options, topo, pool);
-    const auto got = sa::graph::PageRankSmart(pool, g, topo);
+    const auto got = sa::graph::PageRankSmart(pool, g.view(), topo);
     for (sa::graph::VertexId v = 0; v < csr.num_vertices(); v += 997) {
       if (std::abs(got.ranks[v] - want.ranks[v]) > 1e-12) {
         std::printf("HOST VALIDATION FAILED (%s) at vertex %u\n", variant.name, v);

@@ -8,9 +8,10 @@
 #include "collections/smart_map.h"
 #include "collections/smart_set.h"
 #include "common/random.h"
-#include "encodings/encoded_array.h"
+#include "encodings/encoding.h"
 #include "report/table.h"
 #include "smart/map_api.h"
+#include "smart/restructure.h"
 
 int main() {
   const auto topo = sa::platform::Topology::Host();
@@ -35,8 +36,8 @@ int main() {
     datasets[2].values.push_back((i / 10'000) % 3);
   }
   for (const auto& d : datasets) {
-    const auto array = sa::encodings::EncodedArray::Encode(d.values, std::nullopt, placement,
-                                                           topo);
+    const auto encoding = sa::encodings::ChooseEncoding(sa::encodings::AnalyzeValues(d.values));
+    const auto array = sa::smart::Encode(d.values, encoding, placement, topo);
     const double bits = 8.0 * array->footprint_bytes() / d.values.size();
     table.AddRow({d.name, ToString(array->encoding()), sa::report::Num(bits, 2),
                   sa::report::Num(64.0 / bits, 1) + "x smaller"});

@@ -43,11 +43,11 @@ int main() {
     auto degrees = sa::smart::SmartArray::Allocate(csr.num_vertices(),
                                                    sa::smart::PlacementSpec::Interleaved(), 64,
                                                    topo);
-    sa::graph::DegreeCentralitySmart(pool, g, degrees.get());
+    sa::graph::DegreeCentralitySmart(pool, g.view(), degrees.get());
     const double dc_seconds = dc_timer.Seconds();
 
     sa::platform::Stopwatch pr_timer;
-    const auto pagerank = sa::graph::PageRankSmart(pool, g, topo);
+    const auto pagerank = sa::graph::PageRankSmart(pool, g.view(), topo);
     const double pr_seconds = pr_timer.Seconds();
 
     table.AddRow({variant.name, std::to_string(g.index_bits()), std::to_string(g.edge_bits()),
@@ -58,7 +58,7 @@ int main() {
 
   // Show the analytics output itself: top-5 vertices by PageRank.
   sa::graph::SmartCsrGraph g(csr, {}, topo, pool);
-  const auto result = sa::graph::PageRankSmart(pool, g, topo);
+  const auto result = sa::graph::PageRankSmart(pool, g.view(), topo);
   std::vector<sa::graph::VertexId> by_rank(csr.num_vertices());
   for (sa::graph::VertexId v = 0; v < csr.num_vertices(); ++v) {
     by_rank[v] = v;

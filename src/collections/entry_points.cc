@@ -5,16 +5,16 @@
 #include "collections/smart_map.h"
 #include "collections/smart_set.h"
 #include "common/macros.h"
-#include "encodings/encoded_array.h"
+#include "encodings/encoding.h"
 #include "smart/entry_points.h"
+#include "smart/restructure.h"
 
 namespace {
 
 using sa::collections::SetLayout;
 using sa::collections::SmartMap;
 using sa::collections::SmartSet;
-using sa::encodings::EncodedArray;
-using sa::encodings::Encoding;
+using sa::smart::Encoding;
 
 sa::smart::PlacementSpec PlacementFromFlags(int replicated, int interleaved, int pinned) {
   SA_CHECK_MSG(!(replicated && interleaved), "data placements cannot be combined");
@@ -52,37 +52,18 @@ extern "C" {
 void* saEncodedCreate(const uint64_t* values, uint64_t length, int encoding, int replicated,
                       int interleaved, int pinned) {
   SA_CHECK(values != nullptr && length > 0);
-  std::optional<Encoding> chosen;
-  if (encoding >= 0) {
-    SA_CHECK_MSG(encoding <= 3, "unknown encoding id");
-    chosen = static_cast<Encoding>(encoding);
-  }
-  const auto topo = CurrentTopology();
-  return EncodedArray::Encode(std::span<const uint64_t>(values, length), chosen,
-                              PlacementFromFlags(replicated, interleaved, pinned), topo)
+  SA_CHECK_MSG(encoding >= -1 && encoding <= 3, "unknown encoding id");
+  const std::span<const uint64_t> span(values, length);
+  const Encoding chosen = encoding >= 0
+                              ? static_cast<Encoding>(encoding)
+                              : sa::encodings::ChooseEncoding(sa::encodings::AnalyzeValues(span));
+  return sa::smart::Encode(span, chosen, PlacementFromFlags(replicated, interleaved, pinned),
+                           CurrentTopology())
       .release();
 }
 
-void saEncodedFree(void* ea) { delete static_cast<EncodedArray*>(ea); }
-
-int saEncodedKind(const void* ea) {
-  return static_cast<int>(static_cast<const EncodedArray*>(ea)->encoding());
-}
-
-uint64_t saEncodedLength(const void* ea) {
-  return static_cast<const EncodedArray*>(ea)->length();
-}
-
-uint64_t saEncodedFootprintBytes(const void* ea) {
-  return static_cast<const EncodedArray*>(ea)->footprint_bytes();
-}
-
-uint64_t saEncodedGet(const void* ea, uint64_t index) {
-  return static_cast<const EncodedArray*>(ea)->Get(index, /*socket=*/0);
-}
-
-void saEncodedDecode(const void* ea, uint64_t begin, uint64_t end, uint64_t* out) {
-  static_cast<const EncodedArray*>(ea)->Decode(begin, end, /*socket=*/0, out);
+int saEncodedKind(const void* sa) {
+  return static_cast<int>(static_cast<const sa::smart::SmartArray*>(sa)->encoding());
 }
 
 void* saSetCreate(const uint64_t* values, uint64_t length, int layout, int replicated,

@@ -17,16 +17,14 @@
 extern "C" {
 
 // ---- Encoded arrays (§7 alternative compression techniques) ----
-// `encoding`: 0 bit-packed, 1 dictionary, 2 run-length, 3 frame-of-
-// reference, -1 automatic selection from the data.
+// `encoding` takes the smart::Encoding values: 0 bit-packed, 1 frame-of-
+// reference (for-delta), 2 dictionary, 3 run-length; -1 selects automatically
+// from the data. The handle is a smart-array handle: read, scan and free it
+// through the saArray* entry points (smart/entry_points.h), which check
+// every index and range.
 void* saEncodedCreate(const uint64_t* values, uint64_t length, int encoding, int replicated,
                       int interleaved, int pinned);
-void saEncodedFree(void* ea);
-int saEncodedKind(const void* ea);  // the encoding actually chosen
-uint64_t saEncodedLength(const void* ea);
-uint64_t saEncodedFootprintBytes(const void* ea);
-uint64_t saEncodedGet(const void* ea, uint64_t index);
-void saEncodedDecode(const void* ea, uint64_t begin, uint64_t end, uint64_t* out);
+int saEncodedKind(const void* sa);  // the encoding actually chosen
 
 // ---- Smart sets ----
 // `layout`: 0 sorted, 1 eytzinger.

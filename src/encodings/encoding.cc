@@ -8,20 +8,6 @@
 
 namespace sa::encodings {
 
-const char* ToString(Encoding encoding) {
-  switch (encoding) {
-    case Encoding::kBitPacked:
-      return "bit-packed";
-    case Encoding::kDictionary:
-      return "dictionary";
-    case Encoding::kRunLength:
-      return "run-length";
-    case Encoding::kFrameOfReference:
-      return "frame-of-reference";
-  }
-  return "?";
-}
-
 DataStats AnalyzeValues(std::span<const uint64_t> values) {
   DataStats stats;
   stats.count = values.size();
@@ -84,11 +70,11 @@ double EstimateBitsPerElement(Encoding encoding, const DataStats& stats) {
     }
     case Encoding::kRunLength: {
       // Per run: a start offset packed to the widest index plus a packed
-      // value, as RunLengthArray stores them.
+      // value, as smart::RunLengthArray stores them.
       const double per_run = BitsForValue(stats.count - 1) + BitsForValue(stats.max_value);
       return per_run * static_cast<double>(stats.runs) / n;
     }
-    case Encoding::kFrameOfReference: {
+    case Encoding::kForDelta: {
       // Per chunk: one 64-bit base; per element: delta bits.
       return stats.max_chunk_delta_bits + 64.0 / kChunkElems;
     }
@@ -98,7 +84,7 @@ double EstimateBitsPerElement(Encoding encoding, const DataStats& stats) {
 
 Encoding ChooseEncoding(const DataStats& stats) {
   const Encoding candidates[] = {Encoding::kBitPacked, Encoding::kDictionary,
-                                 Encoding::kRunLength, Encoding::kFrameOfReference};
+                                 Encoding::kRunLength, Encoding::kForDelta};
   Encoding best = Encoding::kBitPacked;
   double best_bits = EstimateBitsPerElement(Encoding::kBitPacked, stats);
   for (const Encoding e : candidates) {

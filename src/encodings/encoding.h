@@ -1,29 +1,27 @@
-// Alternative compression techniques beyond plain bit packing (paper §7:
-// "we can investigate alternative compression techniques that can achieve
-// higher compression rates on different categories of data, such as
-// dictionary encoding, run-length encoding, etc." and "the ability to
-// dynamically select the correct technique").
+// Technique selection for the alternative compression techniques of §7 ("we
+// can investigate alternative compression techniques that can achieve higher
+// compression rates on different categories of data, such as dictionary
+// encoding, run-length encoding, etc." and "the ability to dynamically
+// select the correct technique").
 //
-// Every encoding stores its payload in smart arrays, so the NUMA placements
-// compose with it for free.
+// The techniques themselves are smart::Encoding representations of
+// SmartArray (src/smart), so the NUMA placements compose with every one;
+// this module only measures data (DataStats) and picks the encoding with the
+// smallest estimated footprint.
 #ifndef SA_ENCODINGS_ENCODING_H_
 #define SA_ENCODINGS_ENCODING_H_
 
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <string>
+
+#include "smart/smart_array.h"
 
 namespace sa::encodings {
 
-enum class Encoding {
-  kBitPacked,         // BitCompressedArray as in §4.2
-  kDictionary,        // distinct values + bit-packed codes
-  kRunLength,         // (run start, value) pairs + binary search
-  kFrameOfReference,  // per-chunk base + bit-packed deltas
-};
-
-const char* ToString(Encoding encoding);
+// The chooser's vocabulary is the representation seam's.
+using smart::Encoding;
+using smart::ToString;
 
 // Value statistics driving the technique selection.
 struct DataStats {
@@ -32,7 +30,7 @@ struct DataStats {
   uint64_t max_value = 0;
   uint64_t distinct_values = 0;  // exact up to kDistinctCap, capped beyond
   uint64_t runs = 0;             // maximal runs of equal adjacent values
-  // Widest chunk-local delta range, for frame-of-reference sizing.
+  // Widest chunk-local delta range, for kForDelta sizing.
   uint32_t max_chunk_delta_bits = 1;
 
   static constexpr uint64_t kDistinctCap = 1 << 16;

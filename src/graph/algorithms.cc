@@ -40,8 +40,8 @@ void DegreeCentralitySmart(rts::WorkerPool& pool, const CsrView& graph,
         buf.resize(2 * (e - b + 1));
         uint64_t* fwd = buf.data();  // begin[b, e+1), then the degrees in place
         uint64_t* rev = fwd + (e - b + 1);
-        smart::UnpackRange(*graph.begin, graph.begin->GetReplica(socket), b, e + 1, fwd);
-        smart::UnpackRange(*graph.rbegin, graph.rbegin->GetReplica(socket), b, e + 1, rev);
+        graph.begin->RangeUnpack(graph.begin->GetReplica(socket), b, e + 1, fwd);
+        graph.rbegin->RangeUnpack(graph.rbegin->GetReplica(socket), b, e + 1, rev);
         uint64_t all_bits = 0;
         for (uint64_t j = 0; j < e - b; ++j) {
           fwd[j] = (fwd[j + 1] - fwd[j]) + (rev[j + 1] - rev[j]);
@@ -57,11 +57,6 @@ void DegreeCentralitySmart(rts::WorkerPool& pool, const CsrView& graph,
     mix->begin_seq += graph.num_vertices + 1;
     mix->rbegin_seq += graph.num_vertices + 1;
   }
-}
-
-void DegreeCentralitySmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                           smart::SmartArray* out) {
-  DegreeCentralitySmart(pool, graph.view(), out, nullptr);
 }
 
 PageRankResult PageRank(const CsrGraph& graph, const PageRankOptions& options) {
@@ -170,12 +165,6 @@ PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
     result.ranks[v] = std::bit_cast<double>(smart::BitCompressedArray<64>::GetImpl(rank_rep, v));
   }
   return result;
-}
-
-PageRankResult PageRankSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                             const platform::Topology& topology,
-                             const PageRankOptions& options) {
-  return PageRankSmart(pool, graph.view(), topology, options, nullptr);
 }
 
 }  // namespace sa::graph

@@ -25,13 +25,11 @@ std::vector<uint64_t> DegreeCentrality(const CsrGraph& graph);
 // elements past V stay untouched), which the caller allocates — interleaved,
 // as the paper fixes for output arrays — at a width that holds every degree
 // (checked; a narrower `out` aborts).
-// The CsrView overload is the implementation: it reads only through the
-// view, so a GraphSnapshot caller (concurrent.h) is pinned against mid-run
-// restructures; `mix` optionally accumulates the access tallies.
+// It reads only through the view (SmartCsrGraph::view() or a
+// GraphSnapshot's, concurrent.h, which pins it against mid-run restructures);
+// `mix` optionally accumulates the access tallies.
 void DegreeCentralitySmart(rts::WorkerPool& pool, const CsrView& graph,
                            smart::SmartArray* out, AccessMix* mix = nullptr);
-void DegreeCentralitySmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                           smart::SmartArray* out);
 
 // ---- PageRank ----
 
@@ -53,14 +51,10 @@ PageRankResult PageRank(const CsrGraph& graph, const PageRankOptions& options = 
 // Parallel smart-array version. Rank vectors are 64-bit vertex properties
 // (doubles bit-cast into smart arrays, as PGX stores properties off-heap);
 // the two rank arrays follow the graph's placement and swap roles every
-// iteration. The CsrView overload is the implementation (snapshot-pin safe,
-// like the rest of the suite); the SmartCsrGraph form forwards to it.
+// iteration. Reads only through the view, like the rest of the suite.
 PageRankResult PageRankSmart(rts::WorkerPool& pool, const CsrView& graph,
                              const platform::Topology& topology,
                              const PageRankOptions& options = {}, AccessMix* mix = nullptr);
-PageRankResult PageRankSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                             const platform::Topology& topology,
-                             const PageRankOptions& options = {});
 
 }  // namespace sa::graph
 

@@ -195,11 +195,6 @@ std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const CsrView& graph
   return std::vector<uint64_t>(level_data, level_data + n);
 }
 
-std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                                     VertexId source, const platform::Topology& topology) {
-  return BfsLevelsSmart(pool, graph.view(), source, topology, nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Connected components
 // ---------------------------------------------------------------------------
@@ -298,12 +293,6 @@ std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrV
     mix->redge_seq += iterations * graph.num_edges;
   }
   return std::vector<uint64_t>(label, label + n);
-}
-
-std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool,
-                                               const SmartCsrGraph& graph,
-                                               const platform::Topology& topology) {
-  return ConnectedComponentsSmart(pool, graph.view(), topology, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -587,10 +576,6 @@ uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph, Access
     mix->redge_seq += graph.num_edges;
   }
   return total.triangles;
-}
-
-uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph) {
-  return CountTrianglesSmart(pool, graph.view(), nullptr);
 }
 
 }  // namespace sa::graph

@@ -5,7 +5,7 @@
 // smart-array version scheduled on the Callisto-style runtime.
 //
 // The parallel kernels are written against CsrView (view.h), so the same
-// code runs over a SmartCsrGraph and over epoch-pinned registry snapshots
+// code runs over SmartCsrGraph::view() and over epoch-pinned registry snapshots
 // (concurrent.h) — the latter is what makes them safe while the adaptation
 // daemon restructures the property arrays mid-traversal. Each kernel
 // optionally reports its per-array access mix (AccessMix) so a registry
@@ -39,8 +39,6 @@ std::vector<uint64_t> BfsLevels(const CsrGraph& graph, VertexId source);
 std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const CsrView& graph,
                                      VertexId source, const platform::Topology& topology,
                                      AccessMix* mix = nullptr);
-std::vector<uint64_t> BfsLevelsSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph,
-                                     VertexId source, const platform::Topology& topology);
 
 // ---- Connected components (undirected view, label propagation) ----
 
@@ -54,9 +52,6 @@ std::vector<uint64_t> ConnectedComponents(const CsrGraph& graph);
 std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool, const CsrView& graph,
                                                const platform::Topology& topology,
                                                AccessMix* mix = nullptr);
-std::vector<uint64_t> ConnectedComponentsSmart(rts::WorkerPool& pool,
-                                               const SmartCsrGraph& graph,
-                                               const platform::Topology& topology);
 
 // ---- Triangle counting ----
 
@@ -85,7 +80,6 @@ uint64_t CountTrianglesOriented(const CsrGraph& graph);
 // begin and rbegin and one over edge and redge: no gather touches the view.
 uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const CsrView& graph,
                              AccessMix* mix = nullptr);
-uint64_t CountTrianglesSmart(rts::WorkerPool& pool, const SmartCsrGraph& graph);
 
 }  // namespace sa::graph
 

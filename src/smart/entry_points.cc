@@ -125,7 +125,7 @@ void saArrayUnpack(const void* sa, uint64_t chunk, uint64_t* out) {
 
 void saArrayUnpackRange(const void* sa, uint64_t begin, uint64_t end, uint64_t* out) {
   const SmartArray* a = Array(sa);
-  SA_CHECK(begin <= end && end <= a->length());
+  SA_CHECK_MSG(begin <= end && end <= a->length(), "decode range out of bounds");
   // Virtual bulk decode: correct for every encoding, still one width
   // dispatch + chunk-streaming kernels for the bit-packed default.
   a->RangeUnpack(a->GetReplicaForCurrentThread(), begin, end, out);
@@ -169,6 +169,8 @@ void saArrayInitWithBits(void* sa, uint64_t index, uint64_t value, uint32_t bits
 uint64_t saArrayGetWithBits(const void* sa, uint64_t index, uint32_t bits) {
   const SmartArray* a = Array(sa);
   SA_CHECK_MSG(a->bits() == bits, "width does not match the array");
+  SA_CHECK_MSG(a->encoding() == sa::smart::Encoding::kBitPacked,
+               "width-branched access requires the bit-packed encoding");
   SA_CHECK_MSG(index < a->length(), "index out of range");
   return CodecFor(bits).get(a->GetReplicaForCurrentThread(), index);
 }
@@ -178,6 +180,8 @@ void* saIterAllocate(const void* sa, uint64_t index) {
   // index == length is a legal one-past-the-end resting position (a scan
   // loop allocates at its start bound, which may equal its end bound).
   SA_CHECK_MSG(index <= a->length(), "iterator index out of range");
+  SA_CHECK_MSG(a->encoding() == sa::smart::Encoding::kBitPacked,
+               "iterators read the bit-packed encoding");
   auto* it = new EntryIterator;
   it->array = a;
   it->replica = a->GetReplicaForCurrentThread();
@@ -216,24 +220,14 @@ void saArrayMapRange(const void* sa, uint64_t begin, uint64_t end, saMapCallback
     return;
   }
   const uint64_t* replica = a->GetReplicaForCurrentThread();
-  const auto& codec = CodecFor(a->bits());
   uint64_t buffer[sa::kChunkElems];
-
-  uint64_t i = begin;
-  const uint64_t head_end = std::min(end, sa::AlignUp(begin, sa::kChunkElems));
-  if (i < head_end) {
-    codec.unpack_range(replica, i, head_end, buffer);
-    callback(buffer, head_end - i, i, ctx);
-    i = head_end;
-  }
-  while (i + sa::kChunkElems <= end) {
-    codec.unpack_range(replica, i, i + sa::kChunkElems, buffer);
-    callback(buffer, sa::kChunkElems, i, ctx);
-    i += sa::kChunkElems;
-  }
-  if (i < end) {
-    codec.unpack_range(replica, i, end, buffer);
-    callback(buffer, end - i, i, ctx);
+  // Chunk-aligned spans after a partial head, decoded through the array's
+  // own (encoding-polymorphic) bulk decode.
+  for (uint64_t i = begin; i < end;) {
+    const uint64_t span_end = std::min(end, sa::AlignUp(i + 1, sa::kChunkElems));
+    a->RangeUnpack(replica, i, span_end, buffer);
+    callback(buffer, span_end - i, i, ctx);
+    i = span_end;
   }
 }
 
@@ -252,6 +246,12 @@ uint64_t saArraySum2Range(const void* sa1, const void* sa2, uint64_t begin, uint
   const SmartArray* a2 = Array(sa2);
   SA_CHECK(begin <= end && end <= a1->length() && end <= a2->length());
   SA_CHECK_MSG(a1->bits() == a2->bits(), "fused aggregation arrays share a width");
+  if (a1->encoding() != sa::smart::Encoding::kBitPacked ||
+      a2->encoding() != sa::smart::Encoding::kBitPacked) {
+    // The fused kernel reads the bit-packed layout; the sum is the same.
+    return a1->RangeSum(a1->GetReplicaForCurrentThread(), begin, end) +
+           a2->RangeSum(a2->GetReplicaForCurrentThread(), begin, end);
+  }
   return CodecFor(a1->bits())
       .sum2_range(a1->GetReplicaForCurrentThread(), a2->GetReplicaForCurrentThread(), begin,
                   end);

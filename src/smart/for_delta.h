@@ -1,15 +1,20 @@
-// Frame-of-reference + delta encoding: the first smart-array representation
-// whose storage geometry is not the logical bit width.
+// Frame-of-reference + delta encoding (kForDelta), the repository's one
+// frame-of-reference implementation.
 //
-// Each 64-element chunk stores a base (its minimum value at build time) in a
-// side vector, and the packed words hold `value - base` deltas at one
-// uniform delta width — the widest any chunk needs. Data whose values are
-// large but locally clustered (timestamps, sorted keys, node degrees within
-// a community) packs in far fewer bits than BitsForValue(max) would demand,
-// which is exactly the §6 trade-off the adaptation daemon arbitrates: the
-// zone maps expose max(BitsForValue(zmax - zmin)) essentially for free, so
-// the selector can price FoR against plain bit-packing without touching the
-// data.
+// Each 64-element chunk has a base (its minimum value at build time), and the
+// packed words hold `value - base` deltas at one uniform delta width — the
+// widest any chunk needs. Every replica holds the packed deltas followed by
+// the per-chunk bases, so replication covers the bases and footprint_bytes()
+// counts them. Data whose values are large but locally clustered (timestamps,
+// sorted keys, node degrees within a community) packs in far fewer bits than
+// BitsForValue(max) would demand, which is exactly the §6 trade-off the
+// adaptation daemon arbitrates: the zone maps expose max(BitsForValue(zmax -
+// zmin)) essentially for free, so the selector can price FoR against plain
+// bit-packing without touching the data.
+//
+// Zones hold exact absolute values after the build. Scans classify a chunk on
+// its zone, then translate the predicate into the chunk's delta domain
+// (TranslateToDelta) for the bit-packed kernels (chunk_walk.h).
 //
 // The encoding is read-optimized and the daemon only selects it for sealed
 // read-only slots: writes are accepted but must stay within the chunk's
@@ -19,7 +24,6 @@
 #define SA_SMART_FOR_DELTA_H_
 
 #include <memory>
-#include <vector>
 
 #include "smart/smart_array.h"
 
@@ -27,11 +31,12 @@ namespace sa::smart {
 
 class ForDeltaArray final : public SmartArray {
  public:
-  // Builds a FoR copy of `source` (any encoding): one serial decode pass
-  // measures the per-chunk bases and the uniform delta width, a second pass
-  // packs the deltas and installs exact zone bounds. `logical_bits` is the
-  // width callers see (pass 0 to keep the source's); the storage width is
-  // measured. Returns nullptr when a replica allocation fails.
+  // Builds a FoR copy of `source` (any encoding), streaming it chunk by
+  // chunk twice: one pass measures the uniform delta width, the second
+  // writes the bases and deltas and installs exact zone bounds. `logical_bits`
+  // is the width callers see (pass 0 to keep the source's); the delta width is
+  // measured. Returns nullptr when a replica allocation fails. TryEncode
+  // (restructure.h) is the factory that dispatches here.
   static std::unique_ptr<SmartArray> TryBuild(const SmartArray& source, PlacementSpec placement,
                                               uint32_t logical_bits,
                                               const platform::Topology& topology);
@@ -43,7 +48,10 @@ class ForDeltaArray final : public SmartArray {
 
   Encoding encoding() const override { return Encoding::kForDelta; }
   uint32_t delta_bits() const { return storage_bits(); }
-  uint64_t base(uint64_t chunk) const { return bases_[chunk]; }
+  // The per-chunk bases held in `replica`: chunk c's elements are
+  // bases(replica)[c] plus their deltas.
+  const uint64_t* bases(const uint64_t* replica) const { return replica + bases_; }
+  uint64_t base(uint64_t chunk) const { return bases(replica_ptrs_[0])[chunk]; }
 
   void Init(uint64_t index, uint64_t value) override;
   void InitAtomic(uint64_t index, uint64_t value) override;
@@ -65,12 +73,12 @@ class ForDeltaArray final : public SmartArray {
 
  private:
   ForDeltaArray(uint64_t length, PlacementSpec placement, uint32_t bits, uint32_t delta_bits,
-                const platform::Topology& topology, std::vector<uint64_t> bases);
+                const platform::Topology& topology);
 
   // Aborts unless `value` fits `index`'s frame; returns the delta.
   uint64_t DeltaForWrite(uint64_t index, uint64_t value) const;
 
-  std::vector<uint64_t> bases_;  // one per chunk, immutable after build
+  uint64_t bases_;  // word offset of the per-chunk bases in every replica
 };
 
 }  // namespace sa::smart

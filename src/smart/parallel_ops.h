@@ -92,25 +92,10 @@ inline uint64_t ParallelSum2(rts::WorkerPool& pool, const SmartArray& a1, const 
   });
 }
 
-// Array-level face of the chunk-streaming decode seam: decodes elements
-// [begin, end) of `replica` into out[0 .. end-begin) through the selected
-// chunk kernel. Single runtime-width dispatch, then whole chunks stream
-// vectorized.
-inline void UnpackRange(const SmartArray& array, const uint64_t* replica, uint64_t begin,
-                        uint64_t end, uint64_t* out) {
-  SA_CHECK(begin <= end && end <= array.length());
-  CodecFor(array.bits()).unpack_range(replica, begin, end, out);
-}
-
-// Socket-0 replica convenience overload.
-inline void UnpackRange(const SmartArray& array, uint64_t begin, uint64_t end, uint64_t* out) {
-  UnpackRange(array, array.GetReplica(0), begin, end, out);
-}
-
-// Encode twin: packs in[0 .. end-begin) into elements [begin, end) of every
-// replica. Values must fit the array's width. Like ParallelFill, concurrent
-// callers must hand each worker a chunk-aligned range (kChunkAlignedGrain)
-// so no two writers share a word.
+// Packs in[0 .. end-begin) into elements [begin, end) of every bit-packed
+// replica (the encode twin of SmartArray::RangeUnpack). Values must fit the
+// array's width. Like ParallelFill, concurrent callers must hand each worker
+// a chunk-aligned range (kChunkAlignedGrain) so no two writers share a word.
 inline void PackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in) {
   SA_CHECK(begin <= end && end <= array.length());
   const CodecOps& codec = CodecFor(array.bits());

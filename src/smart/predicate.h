@@ -91,6 +91,21 @@ struct ScanPredicate {
   bool trivial() const { return kind == Kind::kNone || kind == Kind::kAll; }
 };
 
+// Scalar truth of a normalized predicate (trivial kinds included).
+inline bool Matches(ScanPredicate p, uint64_t value) {
+  switch (p.kind) {
+    case ScanPredicate::Kind::kNone:
+      return false;
+    case ScanPredicate::Kind::kAll:
+      return true;
+    case ScanPredicate::Kind::kLt:
+      return (value < p.bound) != p.invert;
+    case ScanPredicate::Kind::kEq:
+      return (value == p.bound) != p.invert;
+  }
+  return false;
+}
+
 // Reduces `p` over a `bits`-wide value domain. Every surviving bound
 // satisfies 1 <= bound <= LowMask(bits) for kLt and bound <= LowMask(bits)
 // for kEq.

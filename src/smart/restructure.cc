@@ -6,12 +6,48 @@
 #include "common/bits.h"
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
+#include "smart/dictionary.h"
 #include "smart/dispatch.h"
 #include "smart/for_delta.h"
 #include "smart/map_api.h"
 #include "smart/parallel_ops.h"
+#include "smart/run_length.h"
 
 namespace sa::smart {
+
+std::unique_ptr<SmartArray> TryEncode(const SmartArray& source, Encoding encoding,
+                                      PlacementSpec placement, uint32_t bits,
+                                      const platform::Topology& topology) {
+  switch (encoding) {
+    case Encoding::kForDelta:
+      return ForDeltaArray::TryBuild(source, placement, bits, topology);
+    case Encoding::kDictionary:
+      return DictionaryArray::TryBuild(source, placement, bits, topology);
+    case Encoding::kRunLength:
+      return RunLengthArray::TryBuild(source, placement, bits, topology);
+    case Encoding::kBitPacked:
+      break;
+  }
+  SA_CHECK_MSG(false, "TryEncode builds the read-optimised encodings; use TryRestructure");
+  return nullptr;
+}
+
+std::unique_ptr<SmartArray> Encode(std::span<const uint64_t> values, Encoding encoding,
+                                   PlacementSpec placement, const platform::Topology& topology) {
+  SA_CHECK_MSG(!values.empty(), "cannot encode an empty array");
+  const uint32_t bits = BitsForValue(*std::max_element(values.begin(), values.end()));
+  // The other encodings stream from a transient single-replica copy.
+  auto packed = SmartArray::Allocate(
+      values.size(), encoding == Encoding::kBitPacked ? placement : PlacementSpec::OsDefault(),
+      bits, topology);
+  PackRange(*packed, 0, values.size(), values.data());
+  if (encoding == Encoding::kBitPacked) {
+    return packed;
+  }
+  auto array = TryEncode(*packed, encoding, placement, 0, topology);
+  SA_CHECK_MSG(array != nullptr, "smart-array replica allocation failed");
+  return array;
+}
 
 uint32_t MinimalBits(rts::WorkerPool& pool, const SmartArray& array) {
   std::vector<uint64_t> partial_max(pool.num_workers(), 0);
@@ -75,11 +111,11 @@ std::unique_ptr<SmartArray> TryRestructure(rts::WorkerPool& pool, const SmartArr
   SA_OBS_COUNT(kRestructures);
   const uint32_t target_bits = bits == 0 ? source.bits() : bits;
 
-  // Frame-of-reference target: ForDeltaArray owns its build (the storage
-  // width is measured from the data, not requested). Serial by design — the
-  // daemon builds FoR only for sealed read-only slots.
-  if (encoding == Encoding::kForDelta) {
-    auto target = ForDeltaArray::TryBuild(source, placement, target_bits, topology);
+  // Read-optimised targets: the encoding factory owns the build (the storage
+  // is measured from the data, not requested). Serial by design — the daemon
+  // builds them only for sealed read-only slots.
+  if (encoding != Encoding::kBitPacked) {
+    auto target = TryEncode(source, encoding, placement, target_bits, topology);
     if (target == nullptr) {
       SA_OBS_COUNT(kRestructureOverflowAborts);
       finish(/*same_width=*/false, 0);

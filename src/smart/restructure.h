@@ -6,6 +6,7 @@
 #define SA_SMART_RESTRUCTURE_H_
 
 #include <memory>
+#include <span>
 
 #include "rts/worker_pool.h"
 #include "smart/smart_array.h"
@@ -36,14 +37,29 @@ std::unique_ptr<SmartArray> Restructure(rts::WorkerPool& pool, const SmartArray&
 // still be widening, so overflow there is an expected outcome to retry
 // from, not a caller bug. `stats`, when non-null, receives the timing
 // breakdown (filled on success and on overflow aborts alike). `encoding`
-// picks the target representation: kForDelta builds a ForDeltaArray
-// (for_delta.h) instead of a bit-packed array (then `bits` only bounds the
-// logical width; the storage width comes from the measured deltas).
+// picks the target representation: the other encodings are built by
+// TryEncode (then `bits` only sets the logical width; the storage comes from
+// the measured data).
 std::unique_ptr<SmartArray> TryRestructure(rts::WorkerPool& pool, const SmartArray& source,
                                            PlacementSpec placement, uint32_t bits,
                                            const platform::Topology& topology,
                                            RestructureStats* stats = nullptr,
                                            Encoding encoding = Encoding::kBitPacked);
+
+// The factory of the read-optimised encodings (kForDelta, kDictionary,
+// kRunLength): builds `encoding`'s representation of `source` (any
+// encoding) under `placement`, serially, streaming `source` chunk by chunk.
+// `bits` is the logical width (0 keeps the source's). The result installs
+// exact value zones. Returns nullptr when a replica allocation fails.
+std::unique_ptr<SmartArray> TryEncode(const SmartArray& source, Encoding encoding,
+                                      PlacementSpec placement, uint32_t bits,
+                                      const platform::Topology& topology);
+
+// `values` under `encoding`: bit-packed at the narrowest width that holds
+// them, the other encodings through TryEncode from that. Aborts when a
+// replica allocation fails.
+std::unique_ptr<SmartArray> Encode(std::span<const uint64_t> values, Encoding encoding,
+                                   PlacementSpec placement, const platform::Topology& topology);
 
 // Narrowest width that holds every element of `array` (a parallel max scan;
 // what "compress with the least number of bits required" needs, §5.2).

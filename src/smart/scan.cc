@@ -1,90 +1,13 @@
-// Default pushdown-scan implementations for SmartArray (declared in
-// smart_array.h): the zone-map walker that turns chunk [min, max] bounds
-// into skipped chunks and closed-form answers, with only the residual mixed
-// runs reaching the per-width match-mask kernels through the codec table.
-//
-// The walker coalesces consecutive mixed chunks into one codec range call,
-// so a scan over data with no zone structure degenerates to exactly the
-// single CountIfRange/SelectIfRange/FilteredSumRange call it would have
-// been without zone maps — pushdown never costs more than one verdict per
-// chunk.
-//
-// Accounting: a chunk is "skipped" when its zone alone answered for it
-// (kSkip or kAllMatch — neither touches packed words, except FilteredSum's
-// all-match chunks which run the plain sum kernel, still cheaper than
-// compare+mask). "Scanned" counts the mixed chunks the kernels actually
-// visited. Trivial predicates (kNone/kAll after normalization) bypass the
-// walk entirely and count the whole range as skipped.
+// Default pushdown-scan and range implementations for SmartArray (declared
+// in smart_array.h): the bit-packed payload read through the codec table,
+// scans walked by the shared zone walker (chunk_walk.h) with the predicate
+// itself as the payload predicate.
 
-#include <algorithm>
-
-#include "common/bits.h"
-#include "obs/telemetry.h"
+#include "smart/chunk_walk.h"
 #include "smart/dispatch.h"
-#include "smart/predicate.h"
 #include "smart/smart_array.h"
 
 namespace sa::smart {
-namespace {
-
-// Walks chunks of [begin, end), classifying each against the zone map and
-// fusing consecutive kMixed chunks into maximal element runs. `on_mixed`
-// receives each fused [run_begin, run_end); `on_all` receives each
-// all-match [lo, hi). kSkip chunks produce no callback.
-template <typename OnMixed, typename OnAll>
-void WalkZones(const SmartArray& array, uint64_t begin, uint64_t end, ScanPredicate p,
-               ScanStats* stats, OnMixed&& on_mixed, OnAll&& on_all) {
-  uint64_t scanned = 0;
-  uint64_t skipped = 0;
-  uint64_t run_begin = 0;
-  bool in_run = false;
-  const uint64_t first_chunk = begin / kChunkElems;
-  const uint64_t last_chunk = (end - 1) / kChunkElems;
-  for (uint64_t chunk = first_chunk; chunk <= last_chunk; ++chunk) {
-    const uint64_t lo = std::max(begin, chunk * kChunkElems);
-    const uint64_t hi = std::min(end, (chunk + 1) * kChunkElems);
-    const ZoneVerdict verdict = ClassifyZone(p, array.ZoneMin(chunk), array.ZoneMax(chunk));
-    if (verdict == ZoneVerdict::kMixed) {
-      if (!in_run) {
-        run_begin = lo;
-        in_run = true;
-      }
-      ++scanned;
-      continue;
-    }
-    if (in_run) {
-      on_mixed(run_begin, lo);
-      in_run = false;
-    }
-    ++skipped;
-    if (verdict == ZoneVerdict::kAllMatch) {
-      on_all(lo, hi);
-    }
-  }
-  if (in_run) {
-    on_mixed(run_begin, end);
-  }
-  SA_OBS_COUNT_N(kScanChunksScanned, scanned);
-  SA_OBS_COUNT_N(kScanChunksSkipped, skipped);
-  if (stats != nullptr) {
-    stats->chunks_scanned += scanned;
-    stats->chunks_skipped += skipped;
-  }
-}
-
-// Whole ranges answered without walking (empty, or trivial predicate).
-void AccountTrivial(uint64_t begin, uint64_t end, ScanStats* stats) {
-  if (begin >= end) {
-    return;
-  }
-  const uint64_t chunks = (end - 1) / kChunkElems - begin / kChunkElems + 1;
-  SA_OBS_COUNT_N(kScanChunksSkipped, chunks);
-  if (stats != nullptr) {
-    stats->chunks_skipped += chunks;
-  }
-}
-
-}  // namespace
 
 uint64_t SmartArray::RangeSum(const uint64_t* replica, uint64_t begin, uint64_t end) const {
   return CodecFor(bits_).sum_range(replica, begin, end);
@@ -95,77 +18,39 @@ void SmartArray::RangeUnpack(const uint64_t* replica, uint64_t begin, uint64_t e
   CodecFor(bits_).unpack_range(replica, begin, end, out);
 }
 
+namespace {
+
+template <ScanOp kOp>
+uint64_t BitPackedScan(const SmartArray& array, const uint64_t* replica, uint64_t begin,
+                       uint64_t end, Predicate p, uint64_t* bitmap, ScanStats* stats) {
+  const ScanPredicate np = NormalizePredicate(p, array.bits());
+  if (begin >= end || np.trivial()) {
+    return AnswerTrivially<kOp>(array, replica, begin, end, np, bitmap, stats);
+  }
+  const CodecOps& codec = CodecFor(array.bits());
+  return WalkScan<kOp>(
+      array, codec, replica, begin, end, np, bitmap, stats, np,
+      [&](uint64_t lo, uint64_t hi, ScanPredicate dp) {
+        return codec.filtered_sum_range(replica, lo, hi, dp);
+      },
+      [&](uint64_t lo, uint64_t hi) { return codec.sum_range(replica, lo, hi); });
+}
+
+}  // namespace
+
 uint64_t SmartArray::CountIf(const uint64_t* replica, uint64_t begin, uint64_t end, Predicate p,
                              ScanStats* stats) const {
-  SA_DCHECK(begin <= end && end <= length_);
-  if (begin >= end) {
-    return 0;
-  }
-  const ScanPredicate np = NormalizePredicate(p, bits_);
-  if (np.trivial()) {
-    AccountTrivial(begin, end, stats);
-    return np.kind == ScanPredicate::Kind::kAll ? end - begin : 0;
-  }
-  const CodecOps& codec = CodecFor(bits_);
-  uint64_t count = 0;
-  WalkZones(
-      *this, begin, end, np, stats,
-      [&](uint64_t rb, uint64_t re) { count += codec.count_if_range(replica, rb, re, np); },
-      [&](uint64_t lo, uint64_t hi) { count += hi - lo; });
-  return count;
+  return BitPackedScan<ScanOp::kCount>(*this, replica, begin, end, p, nullptr, stats);
 }
 
 uint64_t SmartArray::SelectIf(const uint64_t* replica, uint64_t begin, uint64_t end, Predicate p,
                               uint64_t* bitmap, ScanStats* stats) const {
-  SA_DCHECK(begin <= end && end <= length_);
-  if (begin >= end) {
-    return 0;
-  }
-  const uint64_t n = end - begin;
-  for (uint64_t w = 0; w < (n + kWordBits - 1) / kWordBits; ++w) {
-    bitmap[w] = 0;
-  }
-  const ScanPredicate np = NormalizePredicate(p, bits_);
-  if (np.trivial()) {
-    AccountTrivial(begin, end, stats);
-    if (np.kind != ScanPredicate::Kind::kAll) {
-      return 0;
-    }
-    SetBitRange(bitmap, 0, n);
-    return n;
-  }
-  const CodecOps& codec = CodecFor(bits_);
-  uint64_t count = 0;
-  WalkZones(
-      *this, begin, end, np, stats,
-      [&](uint64_t rb, uint64_t re) {
-        count += codec.select_if_range(replica, rb, re, np, bitmap, rb - begin);
-      },
-      [&](uint64_t lo, uint64_t hi) {
-        SetBitRange(bitmap, lo - begin, hi - begin);
-        count += hi - lo;
-      });
-  return count;
+  return BitPackedScan<ScanOp::kSelect>(*this, replica, begin, end, p, bitmap, stats);
 }
 
 uint64_t SmartArray::FilteredSum(const uint64_t* replica, uint64_t begin, uint64_t end,
                                  Predicate p, ScanStats* stats) const {
-  SA_DCHECK(begin <= end && end <= length_);
-  if (begin >= end) {
-    return 0;
-  }
-  const ScanPredicate np = NormalizePredicate(p, bits_);
-  const CodecOps& codec = CodecFor(bits_);
-  if (np.trivial()) {
-    AccountTrivial(begin, end, stats);
-    return np.kind == ScanPredicate::Kind::kAll ? codec.sum_range(replica, begin, end) : 0;
-  }
-  uint64_t sum = 0;
-  WalkZones(
-      *this, begin, end, np, stats,
-      [&](uint64_t rb, uint64_t re) { sum += codec.filtered_sum_range(replica, rb, re, np); },
-      [&](uint64_t lo, uint64_t hi) { sum += codec.sum_range(replica, lo, hi); });
-  return sum;
+  return BitPackedScan<ScanOp::kSum>(*this, replica, begin, end, p, nullptr, stats);
 }
 
 }  // namespace sa::smart

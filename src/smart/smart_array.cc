@@ -50,13 +50,15 @@ constexpr std::array<Creator, 65> kCreators = MakeCreatorTable(std::make_index_s
 
 SmartArray::SmartArray(uint64_t length, PlacementSpec placement, uint32_t bits,
                        const platform::Topology& topology)
-    : SmartArray(length, placement, bits, bits, topology) {}
+    : SmartArray(length, placement, bits, bits,
+                 (length + kChunkElems - 1) / kChunkElems * WordsPerChunk(bits), topology) {}
 
 SmartArray::SmartArray(uint64_t length, PlacementSpec placement, uint32_t bits,
-                       uint32_t storage_bits, const platform::Topology& topology)
+                       uint32_t storage_bits, uint64_t words, const platform::Topology& topology)
     : length_(length),
       bits_(bits),
       storage_bits_(storage_bits),
+      words_per_replica_(words),
       placement_(placement),
       num_sockets_(topology.num_sockets()),
       topology_(topology) {
@@ -69,7 +71,7 @@ SmartArray::SmartArray(uint64_t length, PlacementSpec placement, uint32_t bits,
   }
 
   const uint64_t chunks = (length + kChunkElems - 1) / kChunkElems;
-  const uint64_t bytes = chunks * WordsPerChunk(storage_bits) * sizeof(uint64_t);
+  const uint64_t bytes = words * sizeof(uint64_t);
   const int replicas = placement.kind == Placement::kReplicated ? num_sockets_ : 1;
   regions_.reserve(replicas);
   replica_ptrs_.reserve(replicas);
@@ -92,6 +94,10 @@ const char* ToString(Encoding encoding) {
       return "bit-packed";
     case Encoding::kForDelta:
       return "for-delta";
+    case Encoding::kDictionary:
+      return "dictionary";
+    case Encoding::kRunLength:
+      return "run-length";
   }
   return "?";
 }

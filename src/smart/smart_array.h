@@ -1,12 +1,17 @@
 // Smart arrays: language-independent 64-bit-integer arrays with pluggable
-// smart functionalities — NUMA-aware placement and bit compression
-// (paper §4, Fig. 9).
+// smart functionalities — NUMA-aware placement and compression (paper §4,
+// Fig. 9, and the alternative techniques of §7).
 //
-// SmartArray is the abstract unified API; the concrete subclasses are the 64
-// instantiations of BitCompressedArray<BITS> (bit_compressed_array.h), with
-// BITS == 32 and BITS == 64 specialized to direct native-integer accesses.
-// Allocate() is the factory of Fig. 9: it picks the concrete subclass from
-// `bits` and allocates the replica(s) according to the placement.
+// SmartArray is the abstract unified API and smart::Encoding is its one
+// representation seam. kBitPacked is served by the 64 instantiations of
+// BitCompressedArray<BITS> (bit_compressed_array.h), with BITS == 32 and
+// BITS == 64 specialized to direct native-integer accesses; Allocate() is the
+// factory of Fig. 9 that picks one from `bits`. The read-optimised encodings
+// (ForDeltaArray, DictionaryArray, RunLengthArray) are built from an existing
+// array by TryEncode (restructure.h). Every representation keeps all of its
+// words — packed payload and side tables alike — in the replica regions, so
+// placement and replication cover all of it and GetReplica(socket) is all a
+// reader needs.
 #ifndef SA_SMART_SMART_ARRAY_H_
 #define SA_SMART_SMART_ARRAY_H_
 
@@ -24,12 +29,16 @@
 namespace sa::smart {
 
 // How element values are represented in the backing words. kBitPacked is
-// the paper's layout (bits() == storage width); kForDelta stores per-chunk
-// frame-of-reference bases plus bit-packed deltas (for_delta.h), packing
-// clustered data narrower than its absolute value range.
+// the paper's layout (bits() wide); kForDelta stores per-chunk
+// frame-of-reference bases plus bit-packed deltas (for_delta.h); kDictionary
+// stores bit-packed codes into a sorted dictionary (dictionary.h);
+// kRunLength stores one (start, value) pair per run (run_length.h). The
+// values are part of the adaptation trace words: append, never reorder.
 enum class Encoding : uint8_t {
   kBitPacked = 0,
   kForDelta = 1,
+  kDictionary = 2,
+  kRunLength = 3,
 };
 
 const char* ToString(Encoding encoding);
@@ -141,9 +150,11 @@ class SmartArray {
   // Per-chunk [min, max] value bounds, maintained conservatively: element
   // writes only widen (before the data write — see bit_compressed_array.h),
   // whole-chunk bulk writers install exact bounds under their existing
-  // no-concurrent-writer contracts, and restructure carries bounds to the
-  // rebuilt array. min > max means "unknown"; scans treat it as mixed.
-  // A fresh array's zones are the exact [0, 0] of its zero-filled memory.
+  // no-concurrent-writer contracts, and restructure and the encoding builds
+  // install exact bounds in the rebuilt array. Bounds are always over
+  // element values, whatever the encoding stores. min > max means
+  // "unknown"; scans treat it as mixed. A fresh array's zones are the exact
+  // [0, 0] of its zero-filled memory.
   uint64_t ZoneMin(uint64_t chunk) const {
     return zone_min_[chunk].load(std::memory_order_relaxed);
   }
@@ -175,17 +186,19 @@ class SmartArray {
 
   // ---- Geometry ----
   uint64_t num_chunks() const { return (length_ + kChunkElems - 1) / kChunkElems; }
-  // 64-bit words allocated per replica (rounded up to whole chunks so that
-  // Unpack of the final partial chunk stays in bounds). Sized by the
-  // *storage* width, which non-bit-packed encodings decouple from bits().
-  uint64_t words_per_replica() const { return num_chunks() * WordsPerChunk(storage_bits_); }
+  // 64-bit words allocated per replica: for kBitPacked, whole chunks at
+  // bits() (so Unpack of the final partial chunk stays in bounds); the other
+  // encodings size their packed payload plus side tables.
+  uint64_t words_per_replica() const { return words_per_replica_; }
 
-  // Width of the packed words actually allocated (== bits() for the
-  // bit-packed encoding; the delta width for kForDelta).
+  // Width each stored value is packed at: bits() for kBitPacked, the delta
+  // width for kForDelta, the code width for kDictionary, the run-value width
+  // for kRunLength.
   uint32_t storage_bits() const { return storage_bits_; }
-  // Total bytes across all replicas.
+
+  // Total bytes across all replicas: every word of the representation.
   uint64_t footprint_bytes() const {
-    return static_cast<uint64_t>(num_replicas()) * words_per_replica() * sizeof(uint64_t);
+    return static_cast<uint64_t>(num_replicas()) * words_per_replica_ * sizeof(uint64_t);
   }
 
   // Backing region of replica `r` (placement bookkeeping; used by tests and
@@ -221,9 +234,10 @@ class SmartArray {
              const platform::Topology& topology);
 
   // Encoding-subclass constructor: `bits` is the logical width callers see,
-  // `storage_bits` sizes the allocated words (e.g. the delta width).
+  // `storage_bits` the width values are packed at, and every replica holds
+  // `words` words, laid out by the subclass.
   SmartArray(uint64_t length, PlacementSpec placement, uint32_t bits, uint32_t storage_bits,
-             const platform::Topology& topology);
+             uint64_t words, const platform::Topology& topology);
 
   static void AtomicMin(std::atomic<uint64_t>& slot, uint64_t value) {
     uint64_t cur = slot.load(std::memory_order_relaxed);
@@ -242,6 +256,7 @@ class SmartArray {
   uint64_t length_ = 0;
   uint32_t bits_ = 64;
   uint32_t storage_bits_ = 64;
+  uint64_t words_per_replica_ = 0;
   PlacementSpec placement_;
   int num_sockets_ = 1;
   platform::Topology topology_;  // copied: cheap, and avoids lifetime coupling

@@ -6,18 +6,31 @@
 
 #include "common/bits.h"
 #include "common/macros.h"
+#include "encodings/encoding.h"
 #include "rts/parallel_for.h"
 #include "rts/worker_local.h"
+#include "smart/dictionary.h"
 #include "smart/predicate.h"
+#include "smart/restructure.h"
 
 namespace sa::table {
 namespace {
 
 // Scans run in grains of this many rows: one pushdown call per predicate
-// and column per grain, with the grain's selection bitmap (256 words) and
-// decode buffers reused across a worker's grains.
+// and column per grain, with the grain's selection bitmaps (256 words each)
+// reused across a worker's grains. Rows a query reads decode in blocks of
+// kBlock on the stack, straight into the loop that consumes them.
 constexpr uint64_t kGrain = rts::kDefaultGrain;
 constexpr uint64_t kGrainWords = kGrain / kWordBits;
+constexpr uint64_t kBlock = 4 * kChunkElems;
+
+// Calls fn(lo, hi) for the kBlock-row blocks of [b, e).
+template <typename Fn>
+void ForEachBlock(uint64_t b, uint64_t e, Fn&& fn) {
+  for (uint64_t lo = b; lo < e; lo += kBlock) {
+    fn(lo, std::min(e, lo + kBlock));
+  }
+}
 
 // The smart predicates a table predicate stands for (kBetween is kGe value
 // AND kLe value2).
@@ -49,7 +62,7 @@ Lowered Lower(const Predicate& p) {
 
 // One conjunct of a scan: a column and a predicate pushed down into it.
 struct Term {
-  const encodings::EncodedArray* column;
+  const smart::SmartArray* column;
   smart::Predicate predicate;
 };
 
@@ -60,7 +73,7 @@ struct Term {
 std::vector<Term> ToTerms(const Table& table, const std::vector<Predicate>& predicates) {
   std::vector<Term> terms;
   for (const Predicate& p : predicates) {
-    const encodings::EncodedArray* column = &table.column(p.column);
+    const smart::SmartArray* column = &table.column(p.column);
     const Lowered lowered = Lower(p);
     for (int i = 0; i < lowered.count; ++i) {
       terms.push_back({column, lowered.terms[i]});
@@ -72,23 +85,13 @@ std::vector<Term> ToTerms(const Table& table, const std::vector<Predicate>& pred
   return terms;
 }
 
-// Per-worker state of one query. Buffers grow (zero-filled) on the
-// worker's first grain and are reused by its later grains.
+// Per-worker state of one query, reused across the worker's grains.
 struct Scratch {
-  std::vector<uint64_t> selected;  // the grain's conjunction bitmap
-  std::vector<uint64_t> term;      // one term's bitmap
-  std::vector<uint64_t> keys;      // decoded key column (or its codes)
-  std::vector<uint64_t> values;    // decoded value column
+  uint64_t selected[kGrainWords];  // the grain's conjunction bitmap
+  uint64_t term[kGrainWords];      // one term's bitmap
   std::vector<uint64_t> sums;      // group sums by dictionary code
   std::map<uint64_t, uint64_t> groups;
 };
-
-uint64_t* Reserve(std::vector<uint64_t>& buffer, uint64_t n) {
-  if (buffer.size() < n) {
-    buffer.resize(n);
-  }
-  return buffer.data();
-}
 
 // ANDs every term's selection over rows [b, e) into scratch.selected (bit
 // j = row b + j), with scratch.term as the per-term buffer. Returns the
@@ -97,16 +100,19 @@ uint64_t SelectGrain(const std::vector<Term>& terms, uint64_t b, uint64_t e, int
                      Scratch& scratch) {
   const uint64_t n = e - b;
   const uint64_t words = (n + kWordBits - 1) / kWordBits;
-  uint64_t* selected = Reserve(scratch.selected, kGrainWords);
+  uint64_t* selected = scratch.selected;
   if (terms.empty()) {
     std::fill_n(selected, words, uint64_t{0});
     smart::SetBitRange(selected, 0, n);
     return n;
   }
-  uint64_t count = terms[0].column->SelectIf(b, e, socket, terms[0].predicate, selected);
-  uint64_t* term = Reserve(scratch.term, kGrainWords);
+  const auto select = [&](const Term& t, uint64_t* bitmap) {
+    return t.column->SelectIf(t.column->GetReplica(socket), b, e, t.predicate, bitmap);
+  };
+  uint64_t count = select(terms[0], selected);
+  uint64_t* term = scratch.term;
   for (size_t t = 1; t < terms.size() && count > 0; ++t) {
-    terms[t].column->SelectIf(b, e, socket, terms[t].predicate, term);
+    select(terms[t], term);
     count = 0;
     for (uint64_t w = 0; w < words; ++w) {
       selected[w] &= term[w];
@@ -140,25 +146,28 @@ uint64_t SumSelected(const uint64_t* rows, const uint64_t* selected, uint64_t n)
 // sort in key order and every code occurs in the column, so the result is
 // already sorted and complete.
 std::vector<std::pair<uint64_t, uint64_t>> GroupByCodes(rts::WorkerPool& pool,
-                                                        const encodings::DictionaryArray& keys,
-                                                        const encodings::EncodedArray& values) {
+                                                        const smart::DictionaryArray& keys,
+                                                        const smart::SmartArray& values) {
   const uint64_t groups = keys.dictionary_size();
   rts::WorkerLocal<Scratch> scratch(pool.num_workers());
   rts::ParallelFor(pool, 0, keys.length(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
     const int socket = pool.worker_socket(worker);
-    Scratch& s = scratch[worker];
-    uint64_t* sums = Reserve(s.sums, groups);
-    uint64_t* codes = Reserve(s.keys, kGrain);
-    uint64_t* rows = Reserve(s.values, kGrain);
-    keys.DecodeCodes(b, e, socket, codes);
-    values.Decode(b, e, socket, rows);
-    for (uint64_t i = 0; i < e - b; ++i) {
-      sums[codes[i]] += rows[i];
-    }
+    std::vector<uint64_t>& sums = scratch[worker].sums;
+    sums.resize(groups);
+    ForEachBlock(b, e, [&](uint64_t lo, uint64_t hi) {
+      uint64_t codes[kBlock];
+      uint64_t rows[kBlock];
+      keys.RangeUnpackCodes(keys.GetReplica(socket), lo, hi, codes);
+      values.RangeUnpack(values.GetReplica(socket), lo, hi, rows);
+      for (uint64_t i = 0; i < hi - lo; ++i) {
+        sums[codes[i]] += rows[i];
+      }
+    });
   });
+  const uint64_t* dictionary = keys.dictionary(keys.GetReplica(0));
   std::vector<std::pair<uint64_t, uint64_t>> result(groups);
   for (uint64_t code = 0; code < groups; ++code) {
-    result[code].first = keys.code_value(code);
+    result[code].first = dictionary[code];
   }
   scratch.ForEach([&](int, const Scratch& s) {
     for (uint64_t code = 0; code < s.sums.size(); ++code) {
@@ -171,7 +180,7 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupByCodes(rts::WorkerPool& pool,
 }  // namespace
 
 Table::Builder& Table::Builder::AddColumn(std::string name, std::vector<uint64_t> values,
-                                          std::optional<encodings::Encoding> encoding) {
+                                          std::optional<smart::Encoding> encoding) {
   for (const auto& staged : staged_) {
     SA_CHECK_MSG(staged.name != name, "duplicate column name");
   }
@@ -191,8 +200,10 @@ Table Table::Builder::Build(const smart::PlacementSpec& placement,
   SA_CHECK_MSG(table.num_rows_ > 0, "tables cannot be empty");
   for (auto& staged : staged_) {
     table.names_.push_back(staged.name);
-    table.columns_.push_back(
-        encodings::EncodedArray::Encode(staged.values, staged.encoding, placement, topology));
+    const smart::Encoding encoding = staged.encoding.value_or(
+        encodings::ChooseEncoding(encodings::AnalyzeValues(staged.values)));
+    table.columns_.push_back(smart::Encode(staged.values, encoding, placement, topology));
+    std::vector<uint64_t>().swap(staged.values);  // the column holds the rows now
   }
   staged_.clear();
   return table;
@@ -206,7 +217,7 @@ uint64_t Table::footprint_bytes() const {
   return total;
 }
 
-const encodings::EncodedArray& Table::column(const std::string& name) const {
+const smart::SmartArray& Table::column(const std::string& name) const {
   for (size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) {
       return *columns_[i];
@@ -239,7 +250,7 @@ uint64_t CountWhere(rts::WorkerPool& pool, const Table& table,
 uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& sum_column,
                   const std::vector<Predicate>& predicates) {
   const std::vector<Term> terms = ToTerms(table, predicates);
-  const encodings::EncodedArray& values = table.column(sum_column);
+  const smart::SmartArray& values = table.column(sum_column);
   rts::WorkerLocal<Scratch> scratch(pool.num_workers());
   return rts::ParallelReduce<uint64_t>(
       pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) -> uint64_t {
@@ -248,32 +259,43 @@ uint64_t SumWhere(rts::WorkerPool& pool, const Table& table, const std::string& 
         if (SelectGrain(terms, b, e, socket, s) == 0) {
           return 0;  // the sum column is never decoded for this grain
         }
-        uint64_t* rows = Reserve(s.values, kGrain);
-        values.Decode(b, e, socket, rows);
-        return SumSelected(rows, s.selected.data(), e - b);
+        uint64_t sum = 0;
+        ForEachBlock(b, e, [&](uint64_t lo, uint64_t hi) {
+          const uint64_t* selected = s.selected + (lo - b) / kWordBits;
+          if (std::all_of(selected, selected + (hi - lo + kWordBits - 1) / kWordBits,
+                          [](uint64_t w) { return w == 0; })) {
+            return;  // no selected row in this block
+          }
+          uint64_t rows[kBlock];
+          values.RangeUnpack(values.GetReplica(socket), lo, hi, rows);
+          sum += SumSelected(rows, selected, hi - lo);
+        });
+        return sum;
       });
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, const Table& table,
                                                       const std::string& key_column,
                                                       const std::string& value_column) {
-  const encodings::EncodedArray& keys = table.column(key_column);
-  const encodings::EncodedArray& values = table.column(value_column);
-  if (keys.encoding() == encodings::Encoding::kDictionary) {
-    return GroupByCodes(pool, static_cast<const encodings::DictionaryArray&>(keys), values);
+  const smart::SmartArray& keys = table.column(key_column);
+  const smart::SmartArray& values = table.column(value_column);
+  if (keys.encoding() == smart::Encoding::kDictionary) {
+    return GroupByCodes(pool, static_cast<const smart::DictionaryArray&>(keys), values);
   }
 
   rts::WorkerLocal<Scratch> scratch(pool.num_workers());
   rts::ParallelFor(pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
     const int socket = pool.worker_socket(worker);
-    Scratch& s = scratch[worker];
-    uint64_t* key_rows = Reserve(s.keys, kGrain);
-    uint64_t* rows = Reserve(s.values, kGrain);
-    keys.Decode(b, e, socket, key_rows);
-    values.Decode(b, e, socket, rows);
-    for (uint64_t i = 0; i < e - b; ++i) {
-      s.groups[key_rows[i]] += rows[i];
-    }
+    std::map<uint64_t, uint64_t>& groups = scratch[worker].groups;
+    ForEachBlock(b, e, [&](uint64_t lo, uint64_t hi) {
+      uint64_t key_rows[kBlock];
+      uint64_t rows[kBlock];
+      keys.RangeUnpack(keys.GetReplica(socket), lo, hi, key_rows);
+      values.RangeUnpack(values.GetReplica(socket), lo, hi, rows);
+      for (uint64_t i = 0; i < hi - lo; ++i) {
+        groups[key_rows[i]] += rows[i];
+      }
+    });
   });
   std::map<uint64_t, uint64_t> merged;
   scratch.ForEach([&](int, const Scratch& s) {
@@ -285,13 +307,14 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
 }
 
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column) {
-  const encodings::EncodedArray& values = table.column(column);
-  // Grains start on a chunk and end on one or at the last row, as the
-  // metadata-only MinMax requires.
-  static_assert(kGrain % kChunkElems == 0);
+  const smart::SmartArray& values = table.column(column);
   return rts::ParallelReduce<MinMax>(
-      pool, 0, table.num_rows(), kGrain, [&](int worker, uint64_t b, uint64_t e) {
-        return values.MinMax(b, e, pool.worker_socket(worker));
+      pool, 0, values.num_chunks(), kGrain / kChunkElems, [&](int, uint64_t b, uint64_t e) {
+        MinMax result;
+        for (uint64_t chunk = b; chunk < e; ++chunk) {
+          result += {values.ZoneMin(chunk), values.ZoneMax(chunk)};
+        }
+        return result;
       });
 }
 

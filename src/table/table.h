@@ -1,25 +1,27 @@
-// Column-store tables over encoded smart arrays.
+// Column-store tables over smart arrays.
 //
 // The paper motivates its aggregation benchmark with database analytics
 // ("it can represent the summation of two columns", §5.1) and cites the
 // column-scan literature its bit compression comes from [43, 59]. This
 // substrate is that workload made concrete: a read-only table whose columns
-// are EncodedArrays (each picking its own technique and inheriting the NUMA
-// placement), scanned on the Callisto-style runtime by operators that read
-// metadata before rows: MIN/MAX answers from the exact per-chunk zones
-// (EncodedArray::MinMax), predicates run on the encoded payloads
-// (EncodedArray::SelectIf) smallest column first, and only the rows a query
-// still needs are decoded.
+// are smart::SmartArrays, each in the smart::Encoding the §7 chooser picks
+// (or the caller forces) and all under one NUMA placement, scanned on the
+// Callisto-style runtime by operators that read metadata before rows:
+// MIN/MAX answers from the columns' exact chunk zones, predicates run on the
+// encoded words (SmartArray::SelectIf) smallest column first, a dictionary
+// key groups on its codes, and only the rows a query still needs are
+// decoded, a few hundred at a time.
 #ifndef SA_TABLE_TABLE_H_
 #define SA_TABLE_TABLE_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "encodings/encoded_array.h"
 #include "rts/worker_pool.h"
+#include "smart/smart_array.h"
 
 namespace sa::table {
 
@@ -31,14 +33,14 @@ class Table {
    public:
     // `encoding` nullopt = automatic technique selection per column.
     Builder& AddColumn(std::string name, std::vector<uint64_t> values,
-                       std::optional<encodings::Encoding> encoding = std::nullopt);
+                       std::optional<smart::Encoding> encoding = std::nullopt);
     Table Build(const smart::PlacementSpec& placement, const platform::Topology& topology);
 
    private:
     struct Staged {
       std::string name;
       std::vector<uint64_t> values;
-      std::optional<encodings::Encoding> encoding;
+      std::optional<smart::Encoding> encoding;
     };
     std::vector<Staged> staged_;
   };
@@ -49,7 +51,7 @@ class Table {
 
   const std::vector<std::string>& column_names() const { return names_; }
   // Aborts on unknown names (schema errors are programming errors here).
-  const encodings::EncodedArray& column(const std::string& name) const;
+  const smart::SmartArray& column(const std::string& name) const;
 
  private:
   friend class Builder;
@@ -57,7 +59,7 @@ class Table {
 
   uint64_t num_rows_ = 0;
   std::vector<std::string> names_;
-  std::vector<std::unique_ptr<encodings::EncodedArray>> columns_;
+  std::vector<std::unique_ptr<smart::SmartArray>> columns_;
 };
 
 // ---- Scan operators ----
@@ -93,9 +95,23 @@ std::vector<std::pair<uint64_t, uint64_t>> GroupBySum(rts::WorkerPool& pool, con
                                                       const std::string& key_column,
                                                       const std::string& value_column);
 
-// SELECT MIN(col), MAX(col), answered per grain from the column's exact
-// chunk zones (EncodedArray::MinMax) without decoding a row.
-using encodings::MinMax;
+// The exact [min, max] of a set of values. The default is the empty set's
+// (min > max), and += merges two sets, so rts::ParallelReduce folds
+// per-grain answers.
+struct MinMax {
+  uint64_t min = ~uint64_t{0};
+  uint64_t max = 0;
+
+  MinMax& operator+=(const MinMax& o) {
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    return *this;
+  }
+};
+
+// SELECT MIN(col), MAX(col), folded from the column's exact chunk zones
+// without decoding a row (every encoding installs exact zones when it is
+// built, and table columns are never written).
 MinMax MinMaxOf(rts::WorkerPool& pool, const Table& table, const std::string& column);
 
 }  // namespace sa::table

@@ -90,7 +90,7 @@ class PlainHarness final : public Harness {
   }
 
   bool UnpackRange(uint64_t begin, uint64_t end, uint64_t* out) override {
-    smart::UnpackRange(*array_, begin, end, out);
+    array_->RangeUnpack(array_->GetReplica(0), begin, end, out);
     return true;
   }
 

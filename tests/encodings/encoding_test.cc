@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "encodings/encoded_array.h"
 #include "encodings/encoding.h"
+#include "smart/restructure.h"
 
 namespace sa::encodings {
 namespace {
@@ -96,8 +96,7 @@ TEST(ChooseEncodingTest, PicksRunLengthForLongRuns) {
 }
 
 TEST(ChooseEncodingTest, PicksFrameOfReferenceForClusteredLargeValues) {
-  EXPECT_EQ(ChooseEncoding(AnalyzeValues(ClusteredTimestamps(50'000))),
-            Encoding::kFrameOfReference);
+  EXPECT_EQ(ChooseEncoding(AnalyzeValues(ClusteredTimestamps(50'000))), Encoding::kForDelta);
 }
 
 TEST(ChooseEncodingTest, KeepsBitPackingForDenseSmallValues) {
@@ -125,10 +124,9 @@ TEST(ChooseEncodingTest, ChosenFootprintIsWithinMarginOfSmallest) {
     uint64_t chosen_bytes = 0;
     uint64_t smallest = ~uint64_t{0};
     for (const Encoding e : {Encoding::kBitPacked, Encoding::kDictionary, Encoding::kRunLength,
-                             Encoding::kFrameOfReference}) {
+                             Encoding::kForDelta}) {
       const uint64_t bytes =
-          EncodedArray::Encode(values, e, smart::PlacementSpec::OsDefault(), topo)
-              ->footprint_bytes();
+          smart::Encode(values, e, smart::PlacementSpec::OsDefault(), topo)->footprint_bytes();
       smallest = std::min(smallest, bytes);
       if (e == chosen) {
         chosen_bytes = bytes;
@@ -145,7 +143,7 @@ TEST(EstimateBitsTest, EstimatesAreOrderedSanely) {
   EXPECT_LT(EstimateBitsPerElement(Encoding::kRunLength, runs),
             EstimateBitsPerElement(Encoding::kBitPacked, runs));
   const DataStats cluster = AnalyzeValues(ClusteredTimestamps(10'000));
-  EXPECT_LT(EstimateBitsPerElement(Encoding::kFrameOfReference, cluster),
+  EXPECT_LT(EstimateBitsPerElement(Encoding::kForDelta, cluster),
             EstimateBitsPerElement(Encoding::kBitPacked, cluster));
 }
 

@@ -42,7 +42,7 @@ TEST_F(Algorithms2Test, BfsSmartMatchesReference) {
   const auto want = BfsLevels(csr, 0);
   for (const bool compress : {false, true}) {
     const SmartCsrGraph g = Smart(csr, compress);
-    const auto got = BfsLevelsSmart(pool_, g, 0, topo_);
+    const auto got = BfsLevelsSmart(pool_, g.view(), 0, topo_);
     ASSERT_EQ(got, want) << "compress=" << compress;
   }
 }
@@ -53,7 +53,7 @@ TEST_F(Algorithms2Test, BfsFromIsolatedSource) {
   EXPECT_EQ(want[0], 0u);
   EXPECT_EQ(want[1], kUnreachable);
   const SmartCsrGraph g = Smart(csr);
-  EXPECT_EQ(BfsLevelsSmart(pool_, g, 0, topo_), want);
+  EXPECT_EQ(BfsLevelsSmart(pool_, g.view(), 0, topo_), want);
 }
 
 TEST_F(Algorithms2Test, BfsLevelsAreConsistentWithEdges) {
@@ -90,7 +90,7 @@ TEST_F(Algorithms2Test, ComponentsSmartMatchesReference) {
   const auto want = ConnectedComponents(csr);
   for (const bool compress : {false, true}) {
     const SmartCsrGraph g = Smart(csr, compress);
-    ASSERT_EQ(ConnectedComponentsSmart(pool_, g, topo_), want) << "compress=" << compress;
+    ASSERT_EQ(ConnectedComponentsSmart(pool_, g.view(), topo_), want) << "compress=" << compress;
   }
 }
 
@@ -153,7 +153,7 @@ TEST_F(Algorithms2Test, TrianglesSmartMatchesReference) {
   EXPECT_GT(want, 0u);  // power-law graphs are triangle-rich
   for (const bool compress : {false, true}) {
     const SmartCsrGraph g = Smart(csr, compress);
-    EXPECT_EQ(CountTrianglesSmart(pool_, g), want) << "compress=" << compress;
+    EXPECT_EQ(CountTrianglesSmart(pool_, g.view()), want) << "compress=" << compress;
   }
 }
 
@@ -167,7 +167,7 @@ TEST_F(Algorithms2Test, TrianglesAcrossPlacements) {
     options.compress_indexes = true;
     options.compress_edges = true;
     SmartCsrGraph g(csr, options, topo_, pool_);
-    EXPECT_EQ(CountTrianglesSmart(pool_, g), want) << ToString(placement);
+    EXPECT_EQ(CountTrianglesSmart(pool_, g.view()), want) << ToString(placement);
   }
 }
 

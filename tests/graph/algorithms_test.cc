@@ -42,7 +42,7 @@ TEST_F(AlgorithmsTest, DegreeCentralitySmartMatchesReferenceAcrossVariants) {
       SmartCsrGraph g(csr_, options, topo_, pool_);
       auto out = smart::SmartArray::Allocate(csr_.num_vertices(),
                                              smart::PlacementSpec::Interleaved(), 64, topo_);
-      DegreeCentralitySmart(pool_, g, out.get());
+      DegreeCentralitySmart(pool_, g.view(), out.get());
       for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
         ASSERT_EQ(out->Get(v, out->GetReplica(0)), want[v])
             << "vertex " << v << " compress=" << compress;
@@ -64,13 +64,13 @@ TEST_F(AlgorithmsTest, DegreeCentralitySmartHonorsOutputWidth) {
   const SmartCsrGraph g(csr_, options, topo_, pool_);
   auto exact = smart::SmartArray::Allocate(csr_.num_vertices(),
                                            smart::PlacementSpec::Interleaved(), bits, topo_);
-  DegreeCentralitySmart(pool_, g, exact.get());
+  DegreeCentralitySmart(pool_, g.view(), exact.get());
   for (VertexId v = 0; v < csr_.num_vertices(); ++v) {
     ASSERT_EQ(exact->Get(v, exact->GetReplica(0)), want[v]) << "vertex " << v;
   }
   auto narrow = smart::SmartArray::Allocate(
       csr_.num_vertices(), smart::PlacementSpec::Interleaved(), bits - 1, topo_);
-  EXPECT_DEATH(DegreeCentralitySmart(pool_, g, narrow.get()),
+  EXPECT_DEATH(DegreeCentralitySmart(pool_, g.view(), narrow.get()),
                "value exceeds the array's bit width");
 }
 
@@ -125,7 +125,7 @@ TEST_F(AlgorithmsTest, PageRankSmartMatchesReferenceAcrossVariants) {
     options.compress_indexes = variant.compress_indexes;
     options.compress_edges = variant.compress_edges;
     SmartCsrGraph g(csr_, options, topo_, pool_);
-    const auto got = PageRankSmart(pool_, g, topo_);
+    const auto got = PageRankSmart(pool_, g.view(), topo_);
     ASSERT_EQ(got.iterations, want.iterations);
     for (VertexId v = 0; v < csr_.num_vertices(); v += 13) {
       ASSERT_NEAR(got.ranks[v], want.ranks[v], 1e-12)

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "encodings/encoded_array.h"
 #include "smart/map_api.h"
 #include "smart/randomization.h"
+#include "smart/restructure.h"
 #include "smart/smart_array.h"
 
 namespace {
@@ -86,24 +86,23 @@ TEST_P(DifferentialTest, EncodingsAgreeWithEachOtherOnRandomData) {
     }
     v = current;
   }
-  std::vector<std::unique_ptr<sa::encodings::EncodedArray>> arrays;
-  for (const auto e :
-       {sa::encodings::Encoding::kBitPacked, sa::encodings::Encoding::kDictionary,
-        sa::encodings::Encoding::kRunLength, sa::encodings::Encoding::kFrameOfReference}) {
-    arrays.push_back(sa::encodings::EncodedArray::Encode(
-        values, e, sa::smart::PlacementSpec::Interleaved(), topo));
+  std::vector<std::unique_ptr<sa::smart::SmartArray>> arrays;
+  for (const auto e : {sa::smart::Encoding::kBitPacked, sa::smart::Encoding::kDictionary,
+                       sa::smart::Encoding::kRunLength, sa::smart::Encoding::kForDelta}) {
+    arrays.push_back(
+        sa::smart::Encode(values, e, sa::smart::PlacementSpec::Interleaved(), topo));
   }
   for (int probe = 0; probe < 500; ++probe) {
     const uint64_t i = rng.Below(n);
     for (const auto& array : arrays) {
-      ASSERT_EQ(array->Get(i, 0), values[i])
+      ASSERT_EQ(array->Get(i, array->GetReplica(0)), values[i])
           << ToString(array->encoding()) << " seed " << seed() << " index " << i;
     }
   }
   // Full-scan agreement.
   std::vector<uint64_t> out(n);
   for (const auto& array : arrays) {
-    array->Decode(0, n, 0, out.data());
+    array->RangeUnpack(array->GetReplica(0), 0, n, out.data());
     ASSERT_EQ(out, values) << ToString(array->encoding()) << " seed " << seed();
   }
 }

@@ -63,7 +63,7 @@ TEST(EndToEndTest, GraphAnalyticsOnAdaptivelyChosenConfiguration) {
   sa::graph::SmartCsrGraph smart_graph(csr, options, topo, pool);
   auto out = sa::smart::SmartArray::Allocate(csr.num_vertices(),
                                              sa::smart::PlacementSpec::Interleaved(), 64, topo);
-  sa::graph::DegreeCentralitySmart(pool, smart_graph, out.get());
+  sa::graph::DegreeCentralitySmart(pool, smart_graph.view(), out.get());
 
   const auto want = sa::graph::DegreeCentrality(csr);
   for (sa::graph::VertexId v = 0; v < csr.num_vertices(); ++v) {
@@ -102,7 +102,7 @@ TEST(EndToEndTest, ManagedAndNativeWorldsAgreeOnGraphResults) {
   sa::graph::SmartCsrGraph smart_graph(csr, {}, topo, pool);
   auto out = sa::smart::SmartArray::Allocate(csr.num_vertices(),
                                              sa::smart::PlacementSpec::Interleaved(), 64, topo);
-  sa::graph::DegreeCentralitySmart(pool, smart_graph, out.get());
+  sa::graph::DegreeCentralitySmart(pool, smart_graph.view(), out.get());
 
   // 2 * |E| when summed — computed through the managed JNI path.
   sa::interop::ManagedRuntime vm;

@@ -91,7 +91,7 @@ TEST_F(GraphDifferentialTest, DegreeCentralityMatchesScalarReferenceEverywhere) 
       SmartCsrGraph g(graph_case.csr, rep.options, topo_, pool_);
       auto out = sa::smart::SmartArray::Allocate(
           graph_case.csr.num_vertices(), sa::smart::PlacementSpec::Interleaved(), 64, topo_);
-      DegreeCentralitySmart(pool_, g, out.get());
+      DegreeCentralitySmart(pool_, g.view(), out.get());
       for (VertexId v = 0; v < graph_case.csr.num_vertices(); ++v) {
         ASSERT_EQ(out->Get(v, out->GetReplica(0)), want[v])
             << graph_case.name << " " << rep.name << " "
@@ -106,7 +106,7 @@ TEST_F(GraphDifferentialTest, PageRankMatchesScalarReferenceEverywhere) {
     const auto want = PageRank(graph_case.csr);
     for (const auto& rep : Representations()) {
       SmartCsrGraph g(graph_case.csr, rep.options, topo_, pool_);
-      const auto got = PageRankSmart(pool_, g, topo_);
+      const auto got = PageRankSmart(pool_, g.view(), topo_);
       ASSERT_EQ(got.iterations, want.iterations)
           << graph_case.name << " " << rep.name << " " << ToString(rep.options.placement);
       ASSERT_EQ(got.ranks.size(), want.ranks.size());
@@ -128,7 +128,7 @@ TEST_F(GraphDifferentialTest, BfsLevelsMatchScalarReferenceEverywhere) {
       const std::vector<uint64_t> want = BfsLevels(graph_case.csr, source);
       for (const auto& rep : Representations()) {
         SmartCsrGraph g(graph_case.csr, rep.options, topo_, pool_);
-        const std::vector<uint64_t> got = BfsLevelsSmart(pool_, g, source, topo_);
+        const std::vector<uint64_t> got = BfsLevelsSmart(pool_, g.view(), source, topo_);
         ASSERT_EQ(got, want) << graph_case.name << " " << rep.name << " "
                              << ToString(rep.options.placement) << " source " << source;
       }
@@ -141,7 +141,7 @@ TEST_F(GraphDifferentialTest, ConnectedComponentsMatchScalarReferenceEverywhere)
     const std::vector<uint64_t> want = ConnectedComponents(graph_case.csr);
     for (const auto& rep : Representations()) {
       SmartCsrGraph g(graph_case.csr, rep.options, topo_, pool_);
-      ASSERT_EQ(ConnectedComponentsSmart(pool_, g, topo_), want)
+      ASSERT_EQ(ConnectedComponentsSmart(pool_, g.view(), topo_), want)
           << graph_case.name << " " << rep.name << " " << ToString(rep.options.placement);
     }
   }
@@ -152,7 +152,7 @@ TEST_F(GraphDifferentialTest, TriangleCountsMatchScalarReferenceEverywhere) {
     const uint64_t want = CountTriangles(graph_case.csr);
     for (const auto& rep : Representations()) {
       SmartCsrGraph g(graph_case.csr, rep.options, topo_, pool_);
-      ASSERT_EQ(CountTrianglesSmart(pool_, g), want)
+      ASSERT_EQ(CountTrianglesSmart(pool_, g.view()), want)
           << graph_case.name << " " << rep.name << " " << ToString(rep.options.placement);
     }
   }
@@ -184,12 +184,12 @@ TEST_F(GraphDifferentialTest, EdgeCaseGraphsMatchScalarReferencesEverywhere) {
       SmartCsrGraph g(edge_case.csr, rep.options, topo_, pool_);
       const std::string label = std::string(edge_case.name) + " " + rep.name + " " +
                                 ToString(rep.options.placement);
-      ASSERT_EQ(BfsLevelsSmart(pool_, g, edge_case.source, topo_), want_bfs) << label;
-      ASSERT_EQ(ConnectedComponentsSmart(pool_, g, topo_), want_cc) << label;
-      ASSERT_EQ(CountTrianglesSmart(pool_, g), want_tri) << label;
+      ASSERT_EQ(BfsLevelsSmart(pool_, g.view(), edge_case.source, topo_), want_bfs) << label;
+      ASSERT_EQ(ConnectedComponentsSmart(pool_, g.view(), topo_), want_cc) << label;
+      ASSERT_EQ(CountTrianglesSmart(pool_, g.view()), want_tri) << label;
       auto out = sa::smart::SmartArray::Allocate(
           edge_case.csr.num_vertices(), sa::smart::PlacementSpec::Interleaved(), 64, topo_);
-      DegreeCentralitySmart(pool_, g, out.get());
+      DegreeCentralitySmart(pool_, g.view(), out.get());
       for (VertexId v = 0; v < edge_case.csr.num_vertices(); ++v) {
         ASSERT_EQ(out->Get(v, out->GetReplica(0)), want_deg[v]) << label << " vertex " << v;
       }

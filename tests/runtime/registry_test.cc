@@ -10,6 +10,7 @@
 #include "common/bits.h"
 #include "runtime/registry.h"
 #include "smart/for_delta.h"
+#include "smart/restructure.h"
 #include "smart/smart_array.h"
 
 namespace sa::runtime {
@@ -317,39 +318,63 @@ TEST_F(ArrayRegistryTest, ForDeltaVersionServesReadsWritesAndScans) {
 }
 
 
-// A kForDelta version holds each chunk to its frame, so a value that fits
-// the slot's width can still fall outside the frame. The failable writes
-// refuse it instead of aborting (the checked Write and FetchAdd still
-// abort); values inside the frame still land.
+// A read-optimised version holds values only in place: a kForDelta chunk
+// to its frame, a kDictionary version to its dictionary, a kRunLength
+// version to each run's value. A value that fits the slot's width can still
+// fall outside, and the failable writes refuse it instead of aborting (the
+// checked Write and FetchAdd still abort); admitted values still land.
 TEST_F(ArrayRegistryTest, TryWritesRefuseValuesOutsideForDeltaFrames) {
   const uint64_t n = 1024;
   const uint64_t base = uint64_t{1} << 39;
-  ArraySlot* slot = registry_.Create("fd.frames", n, smart::PlacementSpec::Interleaved(), 40);
-  for (uint64_t i = 0; i < n; ++i) {
-    slot->Write(i, base + i % sa::kChunkElems);
-  }
-  slot->SealWrites();
-  {
-    ArraySnapshot snap = slot->Acquire();
-    auto fd = smart::ForDeltaArray::TryBuild(snap.array(), smart::PlacementSpec::Interleaved(),
-                                             0, topo_);
-    ASSERT_NE(fd, nullptr);
-    snap.Release();
-    ASSERT_TRUE(registry_.Publish(*slot, std::move(fd), slot->write_count()));
-  }
-  ASSERT_EQ(slot->Acquire().array().encoding(), smart::Encoding::kForDelta);
+  for (const smart::Encoding encoding :
+       {smart::Encoding::kForDelta, smart::Encoding::kDictionary, smart::Encoding::kRunLength}) {
+    SCOPED_TRACE(smart::ToString(encoding));
+    ArraySlot* slot = registry_.Create(std::string("frames.") + smart::ToString(encoding), n,
+                                       smart::PlacementSpec::Interleaved(), 40);
+    std::vector<uint64_t> oracle(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      oracle[i] = base + i % sa::kChunkElems;
+      slot->Write(i, oracle[i]);
+    }
+    slot->SealWrites();
+    {
+      ArraySnapshot snap = slot->Acquire();
+      auto version = smart::TryEncode(snap.array(), encoding,
+                                      smart::PlacementSpec::Interleaved(), 0, topo_);
+      ASSERT_NE(version, nullptr);
+      snap.Release();
+      ASSERT_TRUE(registry_.Publish(*slot, std::move(version), slot->write_count()));
+    }
+    {
+      ArraySnapshot snap = slot->Acquire();
+      ASSERT_EQ(snap.array().encoding(), encoding);
+      // Reads and scans of the published version match the oracle.
+      uint64_t sum = 0;
+      uint64_t below = 0;
+      for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(snap.Get(i), oracle[i]) << "index " << i;
+        sum += oracle[i];
+        below += oracle[i] < base + 20;
+      }
+      EXPECT_EQ(snap.SumRange(0, n), sum);
+      EXPECT_EQ(snap.CountIf(0, n, {smart::CmpOp::kLt, base + 20}), below);
+    }
 
-  const uint64_t writes = slot->write_count();
-  EXPECT_FALSE(slot->TryWrite(5, 7));
-  uint64_t old = 0;
-  EXPECT_FALSE(slot->TryFetchAdd(5, uint64_t{1} << 38, &old));
-  EXPECT_EQ(slot->write_count(), writes);
-  EXPECT_EQ(slot->Acquire().Get(5), base + 5);
+    const uint64_t writes = slot->write_count();
+    EXPECT_FALSE(slot->TryWrite(5, 7));
+    uint64_t old = 0;
+    EXPECT_FALSE(slot->TryFetchAdd(5, uint64_t{1} << 38, &old));
+    EXPECT_EQ(slot->write_count(), writes);
+    EXPECT_EQ(slot->Acquire().Get(5), base + 5);
 
-  EXPECT_TRUE(slot->TryWrite(5, base + 9));
-  ASSERT_TRUE(slot->TryFetchAdd(5, 1, &old));
-  EXPECT_EQ(old, base + 9);
-  EXPECT_EQ(slot->Acquire().Get(5), base + 10);
+    // In place: inside the frame, in the dictionary, or the run's own value.
+    const uint64_t admitted = encoding == smart::Encoding::kRunLength ? base + 5 : base + 9;
+    const uint64_t step = encoding == smart::Encoding::kRunLength ? 0 : 1;
+    EXPECT_TRUE(slot->TryWrite(5, admitted));
+    ASSERT_TRUE(slot->TryFetchAdd(5, step, &old));
+    EXPECT_EQ(old, admitted);
+    EXPECT_EQ(slot->Acquire().Get(5), admitted + step);
+  }
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST_F(CodecV2Test, PackThenUnpackRoundTripsAtEveryWidth) {
       }
       sa::smart::PackRange(*array, 0, length, values.data());
       std::vector<uint64_t> decoded(length, ~uint64_t{0});
-      sa::smart::UnpackRange(*array, 0, length, decoded.data());
+      array->RangeUnpack(array->GetReplica(0), 0, length, decoded.data());
       for (uint64_t i = 0; i < length; ++i) {
         ASSERT_EQ(decoded[i], values[i]) << "bits=" << bits << " n=" << length << " i=" << i;
         ASSERT_EQ(array->Get(i, array->GetReplica(0)), values[i])

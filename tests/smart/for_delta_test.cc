@@ -49,7 +49,7 @@ TEST_F(ForDeltaTest, BuildRoundTripsEveryAccessor) {
   EXPECT_EQ(fd->encoding(), Encoding::kForDelta);
   EXPECT_EQ(fd->bits(), 32u);
   // 255-wide deltas pack in 8 bits regardless of the frame magnitude.
-  EXPECT_LE(fd->storage_bits(), 8u);
+  EXPECT_LE(static_cast<const ForDeltaArray&>(*fd).delta_bits(), 8u);
   EXPECT_LT(fd->footprint_bytes(), source->footprint_bytes());
 
   const uint64_t* replica = fd->GetReplica(0);

@@ -16,8 +16,32 @@
 namespace sa::table {
 namespace {
 
-using encodings::Encoding;
+using smart::Encoding;
 using Op = Predicate::Op;
+
+// The grid's four key-column encodings, under the labels and in the order
+// its instances are named by.
+enum class KeyEncoding { kBitPacked, kDictionary, kRunLength, kFrameOfReference };
+
+Encoding ToEncoding(KeyEncoding key) {
+  switch (key) {
+    case KeyEncoding::kBitPacked:
+      return Encoding::kBitPacked;
+    case KeyEncoding::kDictionary:
+      return Encoding::kDictionary;
+    case KeyEncoding::kRunLength:
+      return Encoding::kRunLength;
+    case KeyEncoding::kFrameOfReference:
+      break;
+  }
+  return Encoding::kForDelta;
+}
+
+const char* Label(KeyEncoding key) {
+  constexpr const char* kLabels[] = {"bit_packed", "dictionary", "run_length",
+                                     "frame_of_reference"};
+  return kLabels[static_cast<int>(key)];
+}
 
 // Independent of Predicate::Matches, which the library implements itself.
 bool Holds(const Predicate& p, uint64_t v) {
@@ -40,7 +64,7 @@ bool Holds(const Predicate& p, uint64_t v) {
   return false;
 }
 
-class PushdownGridTest : public ::testing::TestWithParam<std::tuple<Encoding, uint64_t>> {
+class PushdownGridTest : public ::testing::TestWithParam<std::tuple<KeyEncoding, uint64_t>> {
  protected:
   // Runs of repeated values on a large base with only even offsets, so the
   // data suits every encoding and odd offsets are absent from the dictionary.
@@ -65,7 +89,7 @@ class PushdownGridTest : public ::testing::TestWithParam<std::tuple<Encoding, ui
       amount_[i] = rng.Below(uint64_t{1} << 20);
     }
     Table::Builder builder;
-    builder.AddColumn("key", key_, std::get<0>(GetParam()))
+    builder.AddColumn("key", key_, ToEncoding(std::get<0>(GetParam())))
         .AddColumn("other", other_)
         .AddColumn("amount", amount_);
     table_ = std::make_unique<Table>(builder.Build(smart::PlacementSpec::Replicated(), topo_));
@@ -126,7 +150,7 @@ class PushdownGridTest : public ::testing::TestWithParam<std::tuple<Encoding, ui
 };
 
 TEST_P(PushdownGridTest, EveryOperatorAtBoundaryConstants) {
-  ASSERT_EQ(table_->column("key").encoding(), std::get<0>(GetParam()));
+  ASSERT_EQ(table_->column("key").encoding(), ToEncoding(std::get<0>(GetParam())));
   const uint64_t absent = min_ + 1;  // odd offset: never stored
   for (const uint64_t c : {uint64_t{0}, min_ - 1, min_, absent, max_, max_ + 1, ~uint64_t{0}}) {
     for (const Op op : {Op::kEq, Op::kNe, Op::kLt, Op::kLe, Op::kGt, Op::kGe}) {
@@ -206,10 +230,10 @@ TEST(PushdownMergeTest, ManyGrainsAcrossWorkers) {
     Table::Builder builder;
     builder.AddColumn("key", key, e).AddColumn("amount", amount);
     const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo);
-    EXPECT_EQ(GroupBySum(pool, t, "key", "amount"), expected) << encodings::ToString(e);
-    EXPECT_EQ(CountWhere(pool, t, {{"key", Op::kGe, 3'000, 0}}), count) << encodings::ToString(e);
+    EXPECT_EQ(GroupBySum(pool, t, "key", "amount"), expected) << smart::ToString(e);
+    EXPECT_EQ(CountWhere(pool, t, {{"key", Op::kGe, 3'000, 0}}), count) << smart::ToString(e);
     EXPECT_EQ(SumWhere(pool, t, "amount", {{"key", Op::kGe, 3'000, 0}}), sum)
-        << encodings::ToString(e);
+        << smart::ToString(e);
   }
 }
 
@@ -231,32 +255,27 @@ TEST(PushdownMergeTest, MinMaxFindsExtremesInAnyGrain) {
     values[min_at] = 3;
     values[max_at] = uint64_t{1} << 45;
     for (const Encoding e : {Encoding::kBitPacked, Encoding::kDictionary, Encoding::kRunLength,
-                             Encoding::kFrameOfReference}) {
+                             Encoding::kForDelta}) {
       Table::Builder builder;
       builder.AddColumn("v", values, e);
       const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo);
       const MinMax mm = MinMaxOf(pool, t, "v");
-      EXPECT_EQ(mm.min, 3u) << encodings::ToString(e) << " min at " << min_at;
-      EXPECT_EQ(mm.max, uint64_t{1} << 45) << encodings::ToString(e) << " max at " << max_at;
+      EXPECT_EQ(mm.min, 3u) << smart::ToString(e) << " min at " << min_at;
+      EXPECT_EQ(mm.max, uint64_t{1} << 45) << smart::ToString(e) << " max at " << max_at;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllEncodings, PushdownGridTest,
-    ::testing::Combine(::testing::Values(Encoding::kBitPacked, Encoding::kDictionary,
-                                         Encoding::kRunLength, Encoding::kFrameOfReference),
+    ::testing::Combine(::testing::Values(KeyEncoding::kBitPacked, KeyEncoding::kDictionary,
+                                         KeyEncoding::kRunLength, KeyEncoding::kFrameOfReference),
                        ::testing::Values(uint64_t{1}, uint64_t{64}, uint64_t{65},
                                          rts::kDefaultGrain - 1, rts::kDefaultGrain + 1,
                                          uint64_t{50'017})),
     [](const auto& param_info) {
-      std::string name = encodings::ToString(std::get<0>(param_info.param));
-      for (char& c : name) {
-        if (c == '-') {
-          c = '_';
-        }
-      }
-      return name + "_" + std::to_string(std::get<1>(param_info.param)) + "_rows";
+      return std::string(Label(std::get<0>(param_info.param))) + "_" +
+             std::to_string(std::get<1>(param_info.param)) + "_rows";
     });
 
 }  // namespace

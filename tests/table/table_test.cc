@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "encodings/encoding.h"
 #include "obs/telemetry.h"
+#include "rts/parallel_for.h"
 #include "table/table.h"
 
 namespace sa::table {
@@ -135,11 +137,11 @@ TEST_F(TableTest, MinMaxMatchesBruteForce) {
 
 TEST_F(TableTest, ForcedEncodingsStillAnswerCorrectly) {
   Table::Builder builder;
-  builder.AddColumn("quantity", quantity_, encodings::Encoding::kFrameOfReference)
-      .AddColumn("price", price_, encodings::Encoding::kBitPacked)
-      .AddColumn("region", region_, encodings::Encoding::kDictionary);
+  builder.AddColumn("quantity", quantity_, smart::Encoding::kForDelta)
+      .AddColumn("price", price_, smart::Encoding::kBitPacked)
+      .AddColumn("region", region_, smart::Encoding::kDictionary);
   const Table t = builder.Build(smart::PlacementSpec::Replicated(), topo_);
-  EXPECT_EQ(t.column("region").encoding(), encodings::Encoding::kDictionary);
+  EXPECT_EQ(t.column("region").encoding(), smart::Encoding::kDictionary);
   uint64_t want = 0;
   for (uint64_t i = 0; i < kRows; ++i) {
     if (region_[i] == 1) {
@@ -165,8 +167,8 @@ TEST_F(TableTest, ConjunctionScansSmallestColumnFirst) {
     status[i] = (i / 5'000) % 4;
   }
   Table::Builder builder;
-  builder.AddColumn("wide", wide, encodings::Encoding::kBitPacked)
-      .AddColumn("status", status, encodings::Encoding::kRunLength);
+  builder.AddColumn("wide", wide, smart::Encoding::kBitPacked)
+      .AddColumn("status", status, smart::Encoding::kRunLength);
   const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo_);
   ASSERT_LT(t.column("status").footprint_bytes(), t.column("wide").footprint_bytes());
   const std::vector<Predicate> predicates = {{"wide", Predicate::Op::kLt, uint64_t{1} << 39, 0},
@@ -178,6 +180,55 @@ TEST_F(TableTest, ConjunctionScansSmallestColumnFirst) {
   EXPECT_EQ(obs::CounterValue(obs::kScanChunksScanned) +
                 obs::CounterValue(obs::kScanChunksSkipped),
             chunks);
+}
+
+// Columns added without an encoding take the one the §7 chooser picks.
+TEST(EncodedArrayAutoTest, AutoSelectionMatchesChooser) {
+  const auto topo = platform::Topology::Synthetic(2, 2);
+  std::vector<uint64_t> runs(50'000);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    runs[i] = i / 1000;
+  }
+  Table::Builder builder;
+  builder.AddColumn("runs", runs);
+  const Table t = builder.Build(smart::PlacementSpec::OsDefault(), topo);
+  const smart::SmartArray& column = t.column("runs");
+  EXPECT_EQ(column.encoding(), encodings::ChooseEncoding(encodings::AnalyzeValues(runs)));
+  EXPECT_EQ(column.encoding(), smart::Encoding::kRunLength);
+  EXPECT_EQ(column.Get(12'345, column.GetReplica(0)), runs[12'345]);
+}
+
+// MIN/MAX reads chunk metadata only: over every encoding, MinMaxOf decodes
+// no range.
+TEST(MinMaxTelemetryTest, MinMaxOfDecodesNoRows) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "telemetry compiled out (SA_OBS=OFF)";
+  }
+  const auto topo = platform::Topology::Synthetic(2, 2);
+  rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  std::vector<uint64_t> values(3 * rts::kDefaultGrain + 100);
+  Xoshiro256 rng(7);
+  uint64_t current = 1 << 20;
+  for (uint64_t& v : values) {
+    if (rng.Below(10) == 0) {
+      current = (1 << 20) + rng.Below(1 << 10);
+    }
+    v = current;
+  }
+  Table::Builder builder;
+  for (const smart::Encoding e : {smart::Encoding::kBitPacked, smart::Encoding::kForDelta,
+                                  smart::Encoding::kDictionary, smart::Encoding::kRunLength}) {
+    builder.AddColumn(smart::ToString(e), values, e);
+  }
+  const Table t = builder.Build(smart::PlacementSpec::Interleaved(), topo);
+  const auto [min, max] = std::minmax_element(values.begin(), values.end());
+  for (const std::string& column : t.column_names()) {
+    const uint64_t unpacks = obs::CounterValue(obs::kUnpackRangeCalls);
+    const MinMax got = MinMaxOf(pool, t, column);
+    EXPECT_EQ(obs::CounterValue(obs::kUnpackRangeCalls), unpacks) << column;
+    EXPECT_EQ(got.min, *min) << column;
+    EXPECT_EQ(got.max, *max) << column;
+  }
 }
 
 TEST_F(TableTest, BuilderRejectsSchemaErrors) {

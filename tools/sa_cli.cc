@@ -198,11 +198,11 @@ int CmdGraph(const Args& args) {
   if (algo == "degree") {
     auto out = sa::smart::SmartArray::Allocate(vertices, sa::smart::PlacementSpec::Interleaved(),
                                                64, topo);
-    sa::graph::DegreeCentralitySmart(pool, g, out.get());
+    sa::graph::DegreeCentralitySmart(pool, g.view(), out.get());
     std::printf("degree centrality in %.1f ms; degree[0]=%llu\n", timer.Millis(),
                 static_cast<unsigned long long>(out->Get(0, out->GetReplica(0))));
   } else if (algo == "bfs") {
-    const auto levels = sa::graph::BfsLevelsSmart(pool, g, 0, topo);
+    const auto levels = sa::graph::BfsLevelsSmart(pool, g.view(), 0, topo);
     uint64_t reached = 0;
     for (const uint64_t l : levels) {
       reached += l != sa::graph::kUnreachable;
@@ -210,16 +210,16 @@ int CmdGraph(const Args& args) {
     std::printf("bfs in %.1f ms; reached %llu vertices\n", timer.Millis(),
                 static_cast<unsigned long long>(reached));
   } else if (algo == "wcc") {
-    const auto labels = sa::graph::ConnectedComponentsSmart(pool, g, topo);
+    const auto labels = sa::graph::ConnectedComponentsSmart(pool, g.view(), topo);
     std::set<uint64_t> components(labels.begin(), labels.end());
     std::printf("connected components in %.1f ms; %zu components\n", timer.Millis(),
                 components.size());
   } else if (algo == "triangles") {
-    const uint64_t triangles = sa::graph::CountTrianglesSmart(pool, g);
+    const uint64_t triangles = sa::graph::CountTrianglesSmart(pool, g.view());
     std::printf("triangle count in %.1f ms; %llu triangles\n", timer.Millis(),
                 static_cast<unsigned long long>(triangles));
   } else {
-    const auto result = sa::graph::PageRankSmart(pool, g, topo);
+    const auto result = sa::graph::PageRankSmart(pool, g.view(), topo);
     std::printf("pagerank in %.1f ms; %d iterations, top rank %.6f\n", timer.Millis(),
                 result.iterations,
                 *std::max_element(result.ranks.begin(), result.ranks.end()));
