@@ -1,33 +1,31 @@
 // BENCH_graph.json: the concurrent analytics suite (BFS, connected
 // components, triangle counting, degree centrality, PageRank) measured
-// three ways per algorithm and topology —
+// three ways per algorithm and topology, the records' `series` —
 //
-//   serial_sec       the plain-CSR scalar reference (for triangles the
-//                    degree-ordered CountTrianglesOriented, the algorithm
-//                    the parallel kernel runs; the id-ordered count is the
-//                    oracle),
-//   parallel_sec     the smart-array kernels over an epoch-pinned registry
-//                    snapshot, daemon idle,
-//   live_daemon_sec  the same kernels while the AdaptationDaemon (its own
-//                    worker, hair-trigger thresholds) restructures the ten
-//                    property slots between pins,
+//   serial       the plain-CSR scalar reference (for triangles the
+//                degree-ordered CountTrianglesOriented, the algorithm the
+//                parallel kernel runs; the id-ordered count is the oracle),
+//   parallel     the smart-array kernels over an epoch-pinned registry
+//                snapshot, daemon idle,
+//   live-daemon  the same kernels while the AdaptationDaemon (its own
+//                worker, hair-trigger thresholds) restructures the ten
+//                property slots between pins (mean seconds per run),
 //
-// on a uniform and a power-law graph. Every timed run is differentially
-// checked against the serial answer ("checked" per entry); the trailing
-// summary entry records the host core count (speedup gates are only
-// honest on multi-core hosts — tools/bench_diff.py reads it), daemon
-// activity, and each property slot's final representation, which is where
-// per-algorithm adaptation divergence shows up as distinct configs.
+// on a uniform and a power-law graph (the records' `distribution`). Every
+// timed run is differentially checked against the serial answer (the
+// "check" series counts mismatches). The file also records daemon activity
+// and each property slot's final representation, which is where
+// per-algorithm adaptation divergence shows up as distinct configs; its
+// host record carries the core count, since speedup gates are only honest
+// on multi-core hosts (tools/bench_diff.py reads it).
 //
-// SA_BENCH_FAST=1 shrinks the graphs for CI smoke runs (entries are marked
-// "fast": bench_diff.py then skips the scale and speedup gates).
+// SA_BENCH_FAST=1 shrinks the graphs for CI smoke runs (the host record
+// says so: bench_diff.py then skips the scale and speedup gates).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "graph/generators.h"
 #include "obs/trace.h"
 #include "platform/topology.h"
+#include "report/bench_record.h"
 #include "rts/worker_pool.h"
 #include "runtime/daemon.h"
 #include "runtime/registry.h"
@@ -52,8 +51,6 @@ using graph::GraphSnapshot;
 using graph::PageRankResult;
 using graph::RegistryCsrGraph;
 using graph::VertexId;
-
-bool Fast() { return std::getenv("SA_BENCH_FAST") != nullptr; }
 
 double NowSec() {
   return std::chrono::duration<double>(
@@ -75,9 +72,9 @@ struct AlgoTiming {
   const char* algorithm;
   double serial_sec = 0.0;
   double parallel_sec = 0.0;
-  double live_daemon_sec = 0.0;  // mean over live iterations
+  double live_daemon_sec = 0.0;  // summed over live iterations
   int live_iters = 0;
-  bool checked = true;
+  int mismatches = 0;  // runs whose answer diverged from the serial reference
 };
 
 constexpr int kNumAlgos = 5;
@@ -107,7 +104,7 @@ Reference ComputeReference(const CsrGraph& csr, GraphBench* bench) {
   if (oriented != ref.triangles) {
     std::fprintf(stderr, "MISMATCH: serial oriented triangles on %s diverged from the oracle\n",
                  bench->name);
-    bench->timings[kTriangles].checked = false;
+    ++bench->timings[kTriangles].mismatches;
   }
   t0 = NowSec();
   ref.degree = graph::DegreeCentrality(csr);
@@ -118,10 +115,10 @@ Reference ComputeReference(const CsrGraph& csr, GraphBench* bench) {
   return ref;
 }
 
-// One pinned run of `algo`; returns wall seconds and sets *ok to whether
-// the answer matched the serial reference.
+// One pinned run of `algo`; returns wall seconds and counts a mismatch
+// against the serial reference in the algorithm's timing.
 double RunPinned(rts::WorkerPool& pool, const platform::Topology& topo, GraphBench& bench,
-                 int algo, bool* ok) {
+                 int algo) {
   GraphSnapshot snapshot = bench.registry_graph->Pin();
   const double t0 = NowSec();
   bool match = true;
@@ -152,7 +149,7 @@ double RunPinned(rts::WorkerPool& pool, const platform::Topology& topo, GraphBen
   if (!match) {
     std::fprintf(stderr, "MISMATCH: %s on %s diverged from the serial reference\n",
                  kAlgoNames[algo], bench.name);
-    *ok = false;
+    ++bench.timings[algo].mismatches;
   }
   return sec;
 }
@@ -166,7 +163,7 @@ struct SlotReport {
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_graph.json";
-  const bool fast = Fast();
+  const bool fast = report::FastMode();
 
   const auto topo = platform::Topology::Host();
   rts::WorkerPool pool(topo);
@@ -211,11 +208,9 @@ int main(int argc, char** argv) {
   }
 
   // Phase 1: parallel over pinned snapshots, daemon idle.
-  bool all_checked = true;
   for (auto& bench : benches) {
     for (int a = 0; a < kNumAlgos; ++a) {
-      bench.timings[a].parallel_sec = RunPinned(pool, topo, bench, a, &bench.timings[a].checked);
-      all_checked &= bench.timings[a].checked;
+      bench.timings[a].parallel_sec = RunPinned(pool, topo, bench, a);
     }
     std::fprintf(stderr, "parallel (daemon idle): %s done\n", bench.name);
   }
@@ -249,9 +244,7 @@ int main(int argc, char** argv) {
   for (int iter = 0; iter < live_iters; ++iter) {
     for (auto& bench : benches) {
       for (int a = 0; a < kNumAlgos; ++a) {
-        bench.timings[a].live_daemon_sec +=
-            RunPinned(pool, topo, bench, a, &bench.timings[a].checked);
-        all_checked &= bench.timings[a].checked;
+        bench.timings[a].live_daemon_sec += RunPinned(pool, topo, bench, a);
         ++bench.timings[a].live_iters;
       }
     }
@@ -300,8 +293,7 @@ int main(int argc, char** argv) {
   // The suite must still be exact over the diverged representations.
   for (auto& bench : benches) {
     for (int a = 0; a < kNumAlgos; ++a) {
-      RunPinned(pool, topo, bench, a, &bench.timings[a].checked);
-      all_checked &= bench.timings[a].checked;
+      RunPinned(pool, topo, bench, a);
     }
   }
   std::fprintf(stderr, "projected adaptation: %llu slots restructured, suite re-verified\n",
@@ -320,81 +312,65 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "[\n");
+  report::BenchWriter out("graph");
+  int mismatches = 0;
   for (const auto& bench : benches) {
-    for (int a = 0; a < kNumAlgos; ++a) {
-      const AlgoTiming& t = bench.timings[a];
-      const double live_mean = t.live_daemon_sec / t.live_iters;
-      std::fprintf(
-          f,
-          "  {\"algorithm\": \"%s\", \"graph\": \"%s\", \"num_vertices\": %llu, "
-          "\"num_edges\": %llu, \"fast\": %s, \"serial_sec\": %.6e, \"parallel_sec\": %.6e, "
-          "\"live_daemon_sec\": %.6e, \"parallel_speedup\": %.3f, \"live_iters\": %d, "
-          "\"checked\": %s},\n",
-          t.algorithm, bench.name, static_cast<unsigned long long>(bench.csr.num_vertices()),
-          static_cast<unsigned long long>(bench.csr.num_edges()), fast ? "true" : "false",
-          t.serial_sec, t.parallel_sec, live_mean, t.serial_sec / t.parallel_sec, t.live_iters,
-          t.checked ? "true" : "false");
+    out.Add({.series = "input", .op = "vertices", .distribution = bench.name},
+            bench.csr.num_vertices(), "count");
+    out.Add({.series = "input", .op = "edges", .distribution = bench.name},
+            bench.csr.num_edges(), "count");
+    for (const AlgoTiming& t : bench.timings) {
+      const auto key = [&](const char* series, const char* metric, int threads) {
+        return report::Key{.series = series,
+                           .op = t.algorithm,
+                           .metric = metric,
+                           .threads = threads,
+                           .distribution = bench.name};
+      };
+      out.Add(key("serial", "", 1), t.serial_sec, "s");
+      out.Add(key("parallel", "", pool.num_workers()), t.parallel_sec, "s");
+      out.Add(key("live-daemon", "", pool.num_workers()), t.live_daemon_sec / t.live_iters, "s");
+      out.Add(key("live-daemon", "iterations", 0), t.live_iters, "count");
+      out.Add(key("check", "mismatches", 0), t.mismatches, "count");
+      mismatches += t.mismatches;
     }
   }
-  // Summary: host shape (bench_diff.py gates speedups on host_cores — a
-  // 1-core container cannot honestly show parallel wins), daemon activity,
-  // and every slot's final representation with whether it was restructured.
-  // Distinct representation classes across the ten slots: placement kind x
-  // compressed-or-not (bit widths differ per slot trivially, so they do not
-  // count toward divergence).
-  std::vector<std::string> configs;
-  for (const auto& bench : benches) {
-    for (runtime::ArraySlot* slot : bench.registry_graph->slots()) {
-      const std::string config = std::string(ToString(slot->placement().kind)) +
-                                 (slot->bits() < 64 ? "/compressed" : "/uncompressed");
-      if (std::find(configs.begin(), configs.end(), config) == configs.end()) {
-        configs.push_back(config);
-      }
-    }
-  }
-  std::fprintf(f,
-               "  {\"algorithm\": \"summary\", \"host_cores\": %d, \"pool_threads\": %d, "
-               "\"daemon_workers\": %d, \"daemon_passes\": %llu, \"daemon_adaptations\": %llu, "
-               "\"projected_adaptations\": %llu, \"trace_restructures\": %llu, "
-               "\"distinct_slot_configs\": %zu, \"adapted\": [",
-               topo.num_cpus(), pool.num_workers(), daemon_options.num_workers,
-               static_cast<unsigned long long>(daemon.passes()),
-               static_cast<unsigned long long>(daemon.adaptations()),
-               static_cast<unsigned long long>(projected_adaptations),
-               static_cast<unsigned long long>(trace_restructures), configs.size());
+  // Daemon activity, then every slot's final representation and whether it
+  // was restructured. bench_diff.py counts distinct representation classes
+  // across the ten slots: placement kind x compressed-or-not (bit widths
+  // differ per slot trivially, so they do not count toward divergence).
+  const auto daemon_key = [&](const char* series, const char* metric) {
+    return report::Key{
+        .series = series, .op = "daemon", .metric = metric, .threads = daemon_options.num_workers};
+  };
+  out.Add(daemon_key("live-daemon", "passes"), daemon.passes(), "count");
+  out.Add(daemon_key("live-daemon", "adaptations"), daemon.adaptations(), "count");
+  out.Add(daemon_key("live-daemon", "trace_restructures"), trace_restructures, "count");
+  out.Add(daemon_key("projected", "adaptations"), projected_adaptations, "count");
   size_t slot_index = 0;
-  bool first_adapted = true;
   for (const auto& bench : benches) {
     for (runtime::ArraySlot* slot : bench.registry_graph->slots()) {
-      const SlotReport& report = slot_reports[slot_index++];
-      if (slot->sequence() == report.initial_sequence) {
-        continue;  // never restructured
-      }
+      const SlotReport& initial = slot_reports[slot_index++];
       const runtime::SlotSample lifetime = slot->LifetimeSample();
       const double random_fraction =
           lifetime.reads() == 0
               ? 0.0
               : static_cast<double>(lifetime.random_reads) / lifetime.reads();
-      std::fprintf(f, "%s\n    {\"slot\": \"%s\", \"restructures\": %llu, "
-                   "\"placement\": \"%s\", \"bits\": %u, \"compressed\": %s, "
-                   "\"random_fraction\": %.3f}",
-                   first_adapted ? "" : ",", report.name.c_str(),
-                   static_cast<unsigned long long>(slot->sequence() - report.initial_sequence),
-                   ToString(slot->placement().kind), slot->bits(),
-                   slot->bits() < 64 ? "true" : "false", random_fraction);
-      first_adapted = false;
+      out.Add({.series = initial.name,
+               .op = "restructure",
+               .width = slot->bits(),
+               .placement = ToString(slot->placement().kind)},
+              slot->sequence() - initial.initial_sequence, "count");
+      out.Add({.series = initial.name, .op = "read", .metric = "random_fraction"},
+              random_fraction, "ratio");
     }
   }
-  std::fprintf(f, "]}\n]\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (daemon adaptations %llu, all answers %s)\n", out_path,
+  if (!out.Write(out_path)) {
+    return 1;
+  }
+  std::fprintf(stderr, "daemon adaptations %llu, all answers %s\n",
                static_cast<unsigned long long>(daemon.adaptations()),
-               all_checked ? "matched the serial references" : "DIVERGED — see mismatches above");
-  return all_checked ? 0 : 1;
+               mismatches == 0 ? "matched the serial references"
+                               : "DIVERGED — see mismatches above");
+  return mismatches == 0 ? 0 : 1;
 }

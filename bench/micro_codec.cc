@@ -8,25 +8,25 @@
 // the AVX-512 lane decode where the host runs them, and the measured
 // selection) plus both streaming-seam
 // directions (unpack-range / pack-range) at every width 1..64, and writes
-// BENCH_codec.json (a JSON array, one object per {width, placement, kernel}
-// config with bytes/s of compressed data processed). SA_BENCH_FAST=1
-// shrinks the per-series window for smoke runs; tools/bench_diff.py
-// compares two such files and fails readably on regressions.
+// BENCH_codec.json through report::BenchWriter (one record per {kernel
+// series, width} with bytes/s of compressed data processed, plus the scan
+// grid). SA_BENCH_FAST=1 shrinks the per-series window for smoke runs;
+// tools/bench_diff.py checks the file's gates and diffs two such files.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/random.h"
 #include "platform/topology.h"
+#include "report/bench_record.h"
 #include "smart/dispatch.h"
 #include "smart/kernel_table.h"
 #include "smart/iterator.h"
@@ -247,15 +247,11 @@ BENCHMARK(BM_PackRange)->Arg(7)->Arg(13)->Arg(17)->Arg(33)->Arg(50)->Arg(64);
 // BENCH_codec.json emission (machine-readable kernel comparison).
 // ---------------------------------------------------------------------------
 
-// Per-series measurement window. SA_BENCH_FAST != "0"/unset shrinks it so
-// smoke runs (CI) finish in seconds; committed JSON is always regenerated
-// with the full window.
+// Per-series measurement window. Fast mode shrinks it so smoke runs (CI)
+// finish in seconds; committed JSON is always regenerated with the full
+// window.
 std::chrono::milliseconds MeasureWindow() {
-  const char* fast = std::getenv("SA_BENCH_FAST");
-  if (fast != nullptr && fast[0] != '\0' && std::strcmp(fast, "0") != 0) {
-    return std::chrono::milliseconds(5);
-  }
-  return std::chrono::milliseconds(80);
+  return std::chrono::milliseconds(sa::report::FastMode() ? 5 : 80);
 }
 
 // Measures every series of one width together, round-robin at call
@@ -406,22 +402,10 @@ std::vector<ScanPoint> MeasureScanSeries() {
 }
 
 void WriteBenchJson(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "[\n");
-  bool first = true;
+  sa::report::BenchWriter out("codec");
   std::vector<uint64_t> buffer(kSumElems);
   for (uint32_t bits = 1; bits <= 64; ++bits) {
     auto words = MakeWords(kSumElems, bits);
-    const auto emit = [&](const char* kernel, double bytes_per_sec) {
-      std::fprintf(f, "%s  {\"width\": %u, \"placement\": \"os-default\", \"kernel\": \"%s\", "
-                      "\"bytes_per_sec\": %.6e}",
-                   first ? "" : ",\n", bits, kernel, bytes_per_sec);
-      first = false;
-    };
     // Pre-fill the value buffer the pack direction encodes (unpack-range
     // overwrites `buffer`, which is fine: pack timing is data-independent).
     for (uint64_t i = 0; i < kSumElems; ++i) {
@@ -450,46 +434,30 @@ void WriteBenchJson(const char* path) {
     const char* selected_series = sa::smart::ToString(sa::smart::KernelsFor(bits).kind);
     double selected_bps = 0.0;
     for (size_t i = 0; i < series.size(); ++i) {
-      emit(series[i].first, bps[i]);
-      if (std::strcmp(series[i].first, selected_series) == 0) {
+      const std::string name = series[i].first;
+      const char* op = name == "unpack-range" ? "unpack" : name == "pack-range" ? "pack" : "sum";
+      out.Add({.series = name, .op = op, .width = bits}, bps[i], "B/s");
+      if (name == selected_series) {
         selected_bps = bps[i];
       }
     }
-    emit("selected", selected_bps);
+    out.Add({.series = "selected", .op = "sum", .width = bits}, selected_bps, "B/s");
   }
 
-  // Scan series: one pair of entries per {distribution, selectivity} point,
-  // plus a summary row carrying the 1%-selectivity speedup the CI gate (and
-  // the PR acceptance bar) reads. `fast` marks SA_BENCH_FAST smoke runs,
-  // whose timings are structural-only — bench_diff.py skips ratio gates on
-  // them.
-  {
-    const std::vector<ScanPoint> points = MeasureScanSeries();
-    double best_speedup_at_1pct = 0.0;
-    for (const ScanPoint& point : points) {
-      for (const auto& [kernel, bps] :
-           {std::pair<const char*, double>{"scan-pushdown", point.pushdown_bps},
-            std::pair<const char*, double>{"scan-unpack-filter", point.unpack_filter_bps}}) {
-        std::fprintf(f,
-                     ",\n  {\"width\": %u, \"placement\": \"os-default\", \"kernel\": \"%s\", "
-                     "\"distribution\": \"%s\", \"selectivity\": %g, \"bytes_per_sec\": %.6e}",
-                     kScanBits, kernel, point.distribution, point.selectivity, bps);
-      }
-      if (point.selectivity == 0.01 && point.unpack_filter_bps > 0.0) {
-        best_speedup_at_1pct =
-            std::max(best_speedup_at_1pct, point.pushdown_bps / point.unpack_filter_bps);
-      }
-    }
-    const bool fast = MeasureWindow() < std::chrono::milliseconds(80);
-    std::fprintf(f,
-                 ",\n  {\"width\": %u, \"placement\": \"os-default\", "
-                 "\"kernel\": \"scan-summary\", \"fast\": %d, "
-                 "\"speedup_at_1pct\": %.4f}",
-                 kScanBits, fast ? 1 : 0, best_speedup_at_1pct);
+  // Scan series: one pushdown and one unpack-then-filter record per
+  // {distribution, selectivity} point; bench_diff.py derives the
+  // pushdown speedup at 1% selectivity from them.
+  for (const ScanPoint& point : MeasureScanSeries()) {
+    sa::report::Key key{.op = "count_if",
+                        .width = kScanBits,
+                        .distribution = point.distribution,
+                        .selectivity = point.selectivity};
+    key.series = "scan-pushdown";
+    out.Add(key, point.pushdown_bps, "B/s");
+    key.series = "scan-unpack-filter";
+    out.Add(key, point.unpack_filter_bps, "B/s");
   }
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
+  out.Write(path);
 }
 
 }  // namespace

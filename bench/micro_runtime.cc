@@ -10,19 +10,19 @@
 //   * restructure (daemon rebuild) wall time: the vectorized
 //     UnpackRange/PackRange repack vs a per-value decode->Init reference
 //     (the pre-codec-v2 path), plus the same-width word-copy fast path —
-// and writes BENCH_runtime.json.
+// and writes BENCH_runtime.json through report::BenchWriter.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/random.h"
 #include "obs/entry_points.h"
+#include "report/bench_record.h"
 #include "rts/parallel_for.h"
 #include "runtime/daemon.h"
 #include "runtime/registry.h"
@@ -42,11 +42,9 @@ using sa::runtime::ArraySnapshot;
 constexpr uint64_t kScanElems = 1 << 20;
 constexpr uint32_t kBits = 13;
 
-// SA_BENCH_FAST=1 shrinks the measurement windows (CI smoke; timing is
+// Fast mode shrinks the measurement windows (CI smoke; timing is
 // structural there, not gated).
-int MeasureMs(int full_ms) {
-  return std::getenv("SA_BENCH_FAST") != nullptr ? 30 : full_ms;
-}
+int MeasureMs(int full_ms) { return sa::report::FastMode() ? 30 : full_ms; }
 
 std::vector<uint64_t> MakeOracle(uint64_t n, uint32_t bits) {
   std::vector<uint64_t> oracle(n);
@@ -155,7 +153,6 @@ double MeasureSecondsPerCall(const Fn& fn, int min_ms) {
 struct ReadableStats {
   double mean_ns = 0.0;
   double max_ns = 0.0;
-  int publishes = 0;
 };
 
 ReadableStats MeasureTimeToReadable(Env& env) {
@@ -199,7 +196,6 @@ ReadableStats MeasureTimeToReadable(Env& env) {
     env.registry.Reclaim();
   }
   stats.mean_ns = samples == 0 ? 0.0 : total_ns / static_cast<double>(samples);
-  stats.publishes = kPublishes;
   return stats;
 }
 
@@ -289,7 +285,6 @@ RestructureStats MeasureRestructure(Env& env) {
 struct ObsOverheadStats {
   double enabled_sec = 0.0;
   double disabled_sec = 0.0;
-  double overhead_pct = 0.0;
 };
 
 ObsOverheadStats MeasureObsOverhead(Env& env) {
@@ -304,8 +299,6 @@ ObsOverheadStats MeasureObsOverhead(Env& env) {
   saObsSetEnabled(0);
   stats.disabled_sec = MeasureSecondsPerCall(scan, MeasureMs(200));
   saObsSetEnabled(prev);
-  stats.overhead_pct =
-      (stats.enabled_sec - stats.disabled_sec) / stats.disabled_sec * 100.0;
   return stats;
 }
 
@@ -318,7 +311,6 @@ ObsOverheadStats MeasureObsOverhead(Env& env) {
 struct AuditOverheadStats {
   double audit_on_sec = 0.0;
   double audit_off_sec = 0.0;
-  double overhead_pct = 0.0;
 };
 
 AuditOverheadStats MeasureAuditOverhead(Env& env) {
@@ -343,8 +335,6 @@ AuditOverheadStats MeasureAuditOverhead(Env& env) {
   };
   stats.audit_off_sec = measure(false);
   stats.audit_on_sec = measure(true);
-  stats.overhead_pct =
-      (stats.audit_on_sec - stats.audit_off_sec) / stats.audit_off_sec * 100.0;
   return stats;
 }
 
@@ -359,7 +349,6 @@ void WriteBenchJson(const char* path) {
         return snap.SumRange(0, kScanElems);
       },
       MeasureMs(200));
-  const double overhead_pct = (snap_sec - raw_sec) / raw_sec * 100.0;
   const double acquire_sec = MeasureSecondsPerCall(
       [&] {
         ArraySnapshot snap = env.slot->Acquire();
@@ -371,54 +360,33 @@ void WriteBenchJson(const char* path) {
   const ReadableStats readable = MeasureTimeToReadable(env);
   const RestructureStats rebuild = MeasureRestructure(env);
 
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "[\n");
-  std::fprintf(f,
-               "  {\"metric\": \"snapshot_scan_overhead\", \"elems\": %llu, \"bits\": %u, "
-               "\"raw_scan_sec\": %.6e, \"snapshot_scan_sec\": %.6e, \"overhead_pct\": %.3f},\n",
-               static_cast<unsigned long long>(kScanElems), kBits, raw_sec, snap_sec,
-               overhead_pct);
-  std::fprintf(f,
-               "  {\"metric\": \"snapshot_acquire\", \"acquire_release_ns\": %.1f},\n",
-               acquire_sec * 1e9);
-  std::fprintf(f,
-               "  {\"metric\": \"time_to_readable_during_restructure\", \"publishes\": %d, "
-               "\"mean_ns\": %.1f, \"max_ns\": %.1f},\n",
-               readable.publishes, readable.mean_ns, readable.max_ns);
-  std::fprintf(f,
-               "  {\"metric\": \"restructure_wall\", \"elems\": %llu, \"source_bits\": %u, "
-               "\"target_bits\": %u, \"bulk_sec\": %.6e, \"per_value_reference_sec\": %.6e, "
-               "\"speedup\": %.2f},\n",
-               static_cast<unsigned long long>(kScanElems), kBits, kRestructureBits,
-               rebuild.bulk_sec, rebuild.reference_sec,
-               rebuild.reference_sec / rebuild.bulk_sec);
-  std::fprintf(f,
-               "  {\"metric\": \"restructure_same_width\", \"elems\": %llu, \"bits\": %u, "
-               "\"word_copy_sec\": %.6e},\n",
-               static_cast<unsigned long long>(kScanElems), kBits, rebuild.same_width_sec);
-  std::fprintf(f,
-               "  {\"metric\": \"obs_scan_overhead\", \"elems\": %llu, \"bits\": %u, "
-               "\"compiled_in\": %d, \"enabled_scan_sec\": %.6e, \"disabled_scan_sec\": %.6e, "
-               "\"overhead_pct\": %.3f},\n",
-               static_cast<unsigned long long>(kScanElems), kBits, saObsCompiledIn(),
-               obs.enabled_sec, obs.disabled_sec, obs.overhead_pct);
-  std::fprintf(f,
-               "  {\"metric\": \"audit_decision_overhead\", \"elems\": %llu, "
-               "\"audit_on_sec\": %.6e, \"audit_off_sec\": %.6e, \"overhead_pct\": %.3f}\n",
-               static_cast<unsigned long long>(kScanElems), audit.audit_on_sec,
-               audit.audit_off_sec, audit.overhead_pct);
-  std::fprintf(f, "]\n");
-  std::fclose(f);
+  // One record per timing; each overhead is the ratio of a pair of them.
+  sa::report::BenchWriter out("runtime");
+  const auto add = [&](const char* series, const char* op, uint32_t width, double value,
+                       const char* unit) {
+    out.Add({.series = series, .op = op, .width = width}, value, unit);
+  };
+  add("snapshot_scan_overhead", "raw_scan", kBits, raw_sec, "s");
+  add("snapshot_scan_overhead", "snapshot_scan", kBits, snap_sec, "s");
+  add("snapshot_acquire", "acquire_release", 0, acquire_sec * 1e9, "ns");
+  out.Add({.series = "time_to_readable_during_restructure", .op = "acquire_read", .metric = "mean"},
+          readable.mean_ns, "ns");
+  out.Add({.series = "time_to_readable_during_restructure", .op = "acquire_read", .metric = "max"},
+          readable.max_ns, "ns");
+  add("restructure_wall", "bulk", kRestructureBits, rebuild.bulk_sec, "s");
+  add("restructure_wall", "per_value_reference", kRestructureBits, rebuild.reference_sec, "s");
+  add("restructure_same_width", "word_copy", kBits, rebuild.same_width_sec, "s");
+  add("obs_scan_overhead", "enabled_scan", kBits, obs.enabled_sec, "s");
+  add("obs_scan_overhead", "disabled_scan", kBits, obs.disabled_sec, "s");
+  add("audit_decision_overhead", "audit_on", 0, audit.audit_on_sec, "s");
+  add("audit_decision_overhead", "audit_off", 0, audit.audit_off_sec, "s");
+  out.Write(path);
   std::fprintf(stderr,
-               "wrote %s (scan overhead %.2f%%, acquire %.0f ns, "
-               "worst time-to-readable %.0f ns, rebuild %.1f ms bulk vs %.1f ms per-value, "
-               "obs tax %.2f%%)\n",
-               path, overhead_pct, acquire_sec * 1e9, readable.max_ns,
-               rebuild.bulk_sec * 1e3, rebuild.reference_sec * 1e3, obs.overhead_pct);
+               "scan overhead %.2f%%, acquire %.0f ns, worst time-to-readable %.0f ns, "
+               "rebuild %.1f ms bulk vs %.1f ms per-value, obs tax %.2f%%\n",
+               (snap_sec - raw_sec) / raw_sec * 100.0, acquire_sec * 1e9, readable.max_ns,
+               rebuild.bulk_sec * 1e3, rebuild.reference_sec * 1e3,
+               (obs.enabled_sec - obs.disabled_sec) / obs.disabled_sec * 100.0);
 }
 
 }  // namespace

@@ -20,6 +20,10 @@ namespace sa::runtime {
 
 namespace {
 
+// EWMA weight of the newest drain in the per-slot sampled access rate the
+// calibration scorer uses as a decision's pre-restructure baseline.
+constexpr double kRateEwmaAlpha = 0.5;
+
 // Predicted-win ratio as parts-per-million above break-even (clamped at 0).
 uint64_t WinPpm(double chosen_speedup, double current_speedup) {
   if (current_speedup <= 0.0) {
@@ -232,8 +236,7 @@ void AdaptationDaemon::ObserveRate(ArraySlot& slot, double rate) {
     }
   }
   state->rate_ewma = state->has_rate
-                         ? options_.rate_ewma_alpha * rate +
-                               (1.0 - options_.rate_ewma_alpha) * state->rate_ewma
+                         ? kRateEwmaAlpha * rate + (1.0 - kRateEwmaAlpha) * state->rate_ewma
                          : rate;
   state->has_rate = true;
 }

@@ -65,9 +65,6 @@ struct DaemonOptions {
   // detector. Off only to measure the audit layer's own overhead
   // (bench/micro_runtime.cc) — explain/flap/score all need it.
   bool audit = true;
-  // EWMA weight for the per-slot sampled access rate the scorer uses as the
-  // pre-restructure baseline (1.0 = last drain only).
-  double rate_ewma_alpha = 0.5;
   // Flap detector: an accepted decision that returns to the configuration
   // the slot moved away from within the last `flap_window` recorded
   // decisions is a flap; the slot is then held down (decisions that would

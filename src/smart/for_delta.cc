@@ -1,8 +1,6 @@
 #include "smart/for_delta.h"
 
 #include <algorithm>
-#include <tuple>
-#include <vector>
 
 #include "common/bits.h"
 #include "smart/chunk_walk.h"
@@ -21,14 +19,12 @@ std::unique_ptr<SmartArray> ForDeltaArray::TryBuild(const SmartArray& source,
                                                     PlacementSpec placement,
                                                     uint32_t logical_bits,
                                                     const platform::Topology& topology) {
-  // Pass 1: measure. The frames come from the data, not the (conservative)
-  // zone maps, so a stale-wide zone cannot inflate the stored delta width.
-  std::vector<uint64_t> bases(source.num_chunks());
-  std::vector<uint64_t> maxima(source.num_chunks());
+  // Pass 1: measure the delta width. The frames come from the data, not the
+  // (conservative) zone maps, so a stale-wide zone cannot inflate it.
   uint32_t delta_bits = 1;
-  ForEachSourceChunk(source, [&](uint64_t chunk, const uint64_t* values, uint64_t n) {
-    std::tie(bases[chunk], maxima[chunk]) = ChunkBounds(values, n);
-    delta_bits = std::max(delta_bits, BitsForValue(maxima[chunk] - bases[chunk]));
+  ForEachSourceChunk(source, [&](uint64_t, const uint64_t* values, uint64_t n) {
+    const auto [min, max] = ChunkBounds(values, n);
+    delta_bits = std::max(delta_bits, BitsForValue(max - min));
   });
   std::unique_ptr<ForDeltaArray> array(
       new ForDeltaArray(source.length(), placement,
@@ -37,12 +33,21 @@ std::unique_ptr<SmartArray> ForDeltaArray::TryBuild(const SmartArray& source,
     return nullptr;
   }
 
-  // Pass 2: write every replica's base and deltas, and install the chunk's
-  // exact zone.
+  // Pass 2: take each chunk's frame again from the values it decodes, write
+  // every replica's base and deltas, and install the chunk's exact zone. A
+  // write that landed on the source between the passes can widen a frame
+  // past the measured width: that is the overflow outcome, as for any
+  // rebuild that cannot hold a value.
   const CodecOps& codec = CodecFor(delta_bits);
+  const uint64_t delta_mask = LowMask(delta_bits);
+  bool overflow = false;
   ForEachSourceChunk(source, [&](uint64_t chunk, const uint64_t* values, uint64_t n) {
-    const uint64_t base = bases[chunk];
-    array->SetZoneBounds(chunk, base, maxima[chunk]);
+    const auto [base, max] = ChunkBounds(values, n);
+    overflow |= max - base > delta_mask;
+    if (overflow) {
+      return;
+    }
+    array->SetZoneBounds(chunk, base, max);
     uint64_t deltas[kChunkElems];
     for (uint64_t i = 0; i < n; ++i) {
       deltas[i] = values[i] - base;
@@ -53,6 +58,9 @@ std::unique_ptr<SmartArray> ForDeltaArray::TryBuild(const SmartArray& source,
       codec.pack_range(replica, chunk * kChunkElems, chunk * kChunkElems + n, deltas);
     }
   });
+  if (overflow) {
+    return nullptr;
+  }
   return array;
 }
 

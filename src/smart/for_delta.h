@@ -33,10 +33,12 @@ class ForDeltaArray final : public SmartArray {
  public:
   // Builds a FoR copy of `source` (any encoding), streaming it chunk by
   // chunk twice: one pass measures the uniform delta width, the second
-  // writes the bases and deltas and installs exact zone bounds. `logical_bits`
-  // is the width callers see (pass 0 to keep the source's); the delta width is
-  // measured. Returns nullptr when a replica allocation fails. TryEncode
-  // (restructure.h) is the factory that dispatches here.
+  // takes each chunk's base and maximum again, writes the bases and deltas
+  // and installs exact zone bounds. `logical_bits` is the width callers see
+  // (pass 0 to keep the source's); the delta width is measured. Returns
+  // nullptr when a replica allocation fails, or when a chunk's range no
+  // longer fits the measured width (a write landed on `source` between the
+  // passes). TryEncode (restructure.h) is the factory that dispatches here.
   static std::unique_ptr<SmartArray> TryBuild(const SmartArray& source, PlacementSpec placement,
                                               uint32_t logical_bits,
                                               const platform::Topology& topology);

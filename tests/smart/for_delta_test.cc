@@ -155,6 +155,44 @@ TEST_F(ForDeltaTest, WriteOutsideTheFrameAborts) {
   EXPECT_DEATH(fd->Init(5 * kChunkElems, 0), "chunk frame");
 }
 
+// A source whose chunk 3 gains a value outside its frame after the first
+// read of that chunk: the shape of an ArraySlot::Write landing on the live
+// version between TryBuild's two passes.
+class WidensBetweenPasses final : public SmartArray {
+ public:
+  WidensBetweenPasses(const SmartArray& inner, const platform::Topology& topology)
+      : SmartArray(inner.length(), inner.placement(), inner.bits(), topology), inner_(inner) {}
+
+  void Init(uint64_t, uint64_t) override {}
+  void InitAtomic(uint64_t, uint64_t) override {}
+  uint64_t Get(uint64_t index, const uint64_t*) const override {
+    return inner_.Get(index, inner_.GetReplica(0));
+  }
+  void Unpack(uint64_t chunk, const uint64_t*, uint64_t* out) const override {
+    inner_.Unpack(chunk, inner_.GetReplica(0), out);
+  }
+  void RangeUnpack(const uint64_t*, uint64_t begin, uint64_t end, uint64_t* out) const override {
+    inner_.RangeUnpack(inner_.GetReplica(0), begin, end, out);
+    if (begin == 3 * kChunkElems && ++chunk3_reads_ > 1) {
+      out[5] += uint64_t{1} << 20;
+    }
+  }
+
+ private:
+  const SmartArray& inner_;
+  mutable int chunk3_reads_ = 0;
+};
+
+TEST_F(ForDeltaTest, BuildRefusesAFrameThatWidenedBetweenPasses) {
+  const uint64_t n = 1000;
+  std::vector<uint64_t> oracle;
+  auto inner = ClusteredSource(n, &oracle);
+  WidensBetweenPasses source(*inner, topo_);
+  EXPECT_EQ(ForDeltaArray::TryBuild(source, PlacementSpec::OsDefault(), 32, topo_), nullptr);
+  // Without the write the same data builds.
+  EXPECT_NE(ForDeltaArray::TryBuild(*inner, PlacementSpec::OsDefault(), 32, topo_), nullptr);
+}
+
 TEST_F(ForDeltaTest, RestructureRoundTripsBothDirections) {
   const uint64_t n = 5000;
   std::vector<uint64_t> oracle;

@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "obs/telemetry.h"
 #include "platform/topology.h"
+#include "report/bench_record.h"
 #include "rts/worker_pool.h"
 #include "runtime/daemon.h"
 #include "runtime/registry.h"
@@ -283,50 +284,38 @@ void ClientThread(PhaseEnv& env, const LoadgenOptions& options, bool legacy_by_n
   *out = local;
 }
 
-void PrintHistogram(std::FILE* f, const char* key, const LatencyHistogram& hist) {
-  std::fprintf(f,
-               "   \"%s\": {\"p50\": %llu, \"p99\": %llu, \"p999\": %llu, "
-               "\"max\": %llu, \"count\": %llu}",
-               key, static_cast<unsigned long long>(hist.Quantile(0.50)),
-               static_cast<unsigned long long>(hist.Quantile(0.99)),
-               static_cast<unsigned long long>(hist.Quantile(0.999)),
-               static_cast<unsigned long long>(hist.max()),
-               static_cast<unsigned long long>(hist.count()));
-}
-
-void PrintPhase(std::FILE* f, const PhaseResult& r, const LoadgenOptions& o, bool last) {
-  std::fprintf(f, "  {\"series\": \"%s\", \"shards\": %d, \"threads\": %d, \"slots\": %d,\n",
-               r.series.c_str(), r.shards, o.threads, o.slots);
-  std::fprintf(f,
-               "   \"duration_sec\": %.3f, \"ops\": %llu, \"throughput_ops_per_sec\": %.0f,\n",
-               r.duration_sec, static_cast<unsigned long long>(r.ops), r.throughput());
-  std::fprintf(f,
-               "   \"acquires\": %llu, \"acquire_throughput_per_sec\": %.0f, "
-               "\"acquire_rejects\": %llu,\n",
-               static_cast<unsigned long long>(r.acquires), r.acquire_throughput(),
-               static_cast<unsigned long long>(r.acquire_rejects));
-  std::fprintf(f,
-               "   \"reads\": %llu, \"fetch_adds\": %llu, \"writes\": %llu, "
-               "\"write_rejects\": %llu, \"client_restructures\": %llu,\n",
-               static_cast<unsigned long long>(r.reads),
-               static_cast<unsigned long long>(r.fetch_adds),
-               static_cast<unsigned long long>(r.writes),
-               static_cast<unsigned long long>(r.write_rejects),
-               static_cast<unsigned long long>(r.client_restructures));
-  PrintHistogram(f, "acquire_latency_ns", r.acquire_ns);
-  std::fprintf(f, ",\n");
-  PrintHistogram(f, "read_latency_ns", r.read_ns);
-  std::fprintf(f, ",\n");
-  std::fprintf(f,
-               "   \"daemon\": {\"passes\": %llu, \"adaptations\": %llu, "
-               "\"shard_claims\": %llu, \"shard_steals\": %llu, "
-               "\"backpressure_drops\": %llu, \"max_queue_depth\": %lld}}%s\n",
-               static_cast<unsigned long long>(r.daemon_passes),
-               static_cast<unsigned long long>(r.daemon_adaptations),
-               static_cast<unsigned long long>(r.daemon_shard_claims),
-               static_cast<unsigned long long>(r.daemon_shard_steals),
-               static_cast<unsigned long long>(r.daemon_backpressure_drops),
-               static_cast<long long>(r.max_shard_queue_depth), last ? "" : ",");
+// One record per number of a phase; bench_diff.py derives the
+// sharded/single-shard acquire speedup from the two phases' records.
+void AddPhase(report::BenchWriter& out, const PhaseResult& r, const LoadgenOptions& o) {
+  const auto add = [&](const char* op, const char* metric, double value, const char* unit) {
+    out.Add({.series = r.series, .op = op, .metric = metric, .threads = o.threads}, value, unit);
+  };
+  add("registry", "slots", o.slots, "count");
+  add("registry", "shards", r.shards, "count");
+  add("all", "count", r.ops, "count");
+  add("all", "throughput", r.throughput(), "1/s");
+  add("acquire", "count", r.acquires, "count");
+  add("acquire", "throughput", r.acquire_throughput(), "1/s");
+  add("acquire", "rejects", r.acquire_rejects, "count");
+  add("read", "elements", r.reads, "count");
+  add("fetch_add", "count", r.fetch_adds, "count");
+  add("write", "count", r.writes, "count");
+  add("write", "rejects", r.write_rejects, "count");
+  add("client_restructure", "count", r.client_restructures, "count");
+  for (const auto& [op, hist] :
+       {std::pair{"acquire", &r.acquire_ns}, std::pair{"read", &r.read_ns}}) {
+    add(op, "p50", hist->Quantile(0.50), "ns");
+    add(op, "p99", hist->Quantile(0.99), "ns");
+    add(op, "p999", hist->Quantile(0.999), "ns");
+    add(op, "max", hist->max(), "ns");
+    add(op, "samples", hist->count(), "count");
+  }
+  add("daemon", "passes", r.daemon_passes, "count");
+  add("daemon", "adaptations", r.daemon_adaptations, "count");
+  add("daemon", "shard_claims", r.daemon_shard_claims, "count");
+  add("daemon", "shard_steals", r.daemon_shard_steals, "count");
+  add("daemon", "backpressure_drops", r.daemon_backpressure_drops, "count");
+  add("daemon", "max_queue_depth", r.max_shard_queue_depth, "count");
 }
 
 }  // namespace
@@ -537,38 +526,17 @@ int RunLoadgen(const LoadgenOptions& options) {
                static_cast<unsigned long long>(single.acquire_rejects),
                static_cast<unsigned long long>(single.daemon_adaptations));
 
-  std::FILE* f = std::fopen(options.output_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sa_loadgen: cannot open %s for writing\n",
-                 options.output_path.c_str());
+  report::BenchWriter out("service");
+  AddPhase(out, sharded, options);
+  AddPhase(out, single, options);
+  if (!out.Write(options.output_path)) {
     return 1;
   }
-  std::fprintf(f, "[\n");
-  PrintPhase(f, sharded, options, /*last=*/false);
-  PrintPhase(f, single, options, /*last=*/true);
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-
-  const double speedup = single.acquire_throughput() > 0
-                             ? sharded.acquire_throughput() / single.acquire_throughput()
-                             : 0.0;
-  std::fprintf(stderr, "sa_loadgen: wrote %s (sharded/single acquire speedup %.2fx)\n",
-               options.output_path.c_str(), speedup);
-
-  int rc = 0;
-  if (options.gate_p99_acquire_ns > 0 &&
-      sharded.acquire_ns.Quantile(0.99) > options.gate_p99_acquire_ns) {
-    std::fprintf(stderr, "sa_loadgen: FAIL p99 acquire %llu ns > gate %llu ns\n",
-                 static_cast<unsigned long long>(sharded.acquire_ns.Quantile(0.99)),
-                 static_cast<unsigned long long>(options.gate_p99_acquire_ns));
-    rc = 1;
-  }
-  if (options.min_acquire_speedup > 0 && speedup < options.min_acquire_speedup) {
-    std::fprintf(stderr, "sa_loadgen: FAIL acquire speedup %.2fx < required %.2fx\n", speedup,
-                 options.min_acquire_speedup);
-    rc = 1;
-  }
-  return rc;
+  std::fprintf(stderr, "sa_loadgen: sharded/single acquire speedup %.2fx\n",
+               single.acquire_throughput() > 0
+                   ? sharded.acquire_throughput() / single.acquire_throughput()
+                   : 0.0);
+  return 0;
 }
 
 int LoadgenMain(int argc, char** argv) {
@@ -612,10 +580,6 @@ int LoadgenMain(int argc, char** argv) {
       options.daemon_workers = std::atoi(v);
     } else if (value("--flush-sample-shift=")) {
       options.flush_sample_shift = static_cast<uint32_t>(std::atoi(v) & 15);
-    } else if (value("--gate-p99-acquire-ns=")) {
-      options.gate_p99_acquire_ns = static_cast<uint64_t>(std::atoll(v));
-    } else if (value("--min-acquire-speedup=")) {
-      options.min_acquire_speedup = std::atof(v);
     } else if (value("--out=")) {
       options.output_path = v;
     } else {
@@ -624,8 +588,7 @@ int LoadgenMain(int argc, char** argv) {
                    "usage: sa_loadgen [--threads=N] [--slots=N] [--shards=N] "
                    "[--pin-slots=N] [--duration=SEC] [--zipf=S] [--length=N] [--bits=N] "
                    "[--rate=OPS] [--seed=N] [--no-daemon] [--daemon-interval-ms=MS] "
-                   "[--daemon-workers=N] [--gate-p99-acquire-ns=N] "
-                   "[--min-acquire-speedup=X] [--out=PATH]\n",
+                   "[--daemon-workers=N] [--flush-sample-shift=N] [--out=PATH]\n",
                    arg);
       return 2;
     }

@@ -13,8 +13,8 @@
 //   * "single-shard" — 1 shard, by-name acquisition through the seed's
 //                      control path (registry mutex + std::map lookup, then
 //                      Acquire), i.e. the pre-sharding cost model.
-// The ratio of the two acquire-throughput numbers is the headline the
-// service-smoke CI gate checks.
+// The ratio of the two acquire-throughput numbers is the headline that
+// tools/bench_diff.py gates.
 //
 // By default the generator is closed-loop (each thread issues the next op
 // as soon as the previous completes; latency == service time). --rate runs
@@ -69,10 +69,6 @@ struct LoadgenOptions {
   int daemon_workers = 2;
   // Registry counter_flush_sample_shift for both phases (0 = exact flush).
   uint32_t flush_sample_shift = 3;
-  // Exit-code gate on the sharded phase's p99 acquire latency (0 = off).
-  uint64_t gate_p99_acquire_ns = 0;
-  // Minimum sharded/single-shard acquire throughput ratio (0 = off).
-  double min_acquire_speedup = 0.0;
   std::string output_path = "BENCH_service.json";
 };
 
@@ -109,7 +105,9 @@ struct PhaseResult {
 PhaseResult RunPhase(const LoadgenOptions& options, int shards, bool legacy_by_name,
                      const std::string& series_name);
 
-// Full harness: both phases + JSON + gates. Returns a process exit code.
+// Full harness: both phases, then BENCH_service.json through
+// report::BenchWriter (tools/bench_diff.py holds the gates). Returns a
+// process exit code.
 int RunLoadgen(const LoadgenOptions& options);
 
 // argv front-end shared by the sa_loadgen binary and `sa_cli loadgen`.
