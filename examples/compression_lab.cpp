@@ -4,12 +4,14 @@
 // layer.
 #include <cstdio>
 
-#include "adapt/adaptive_array.h"
+#include "adapt/decision_record.h"
 #include "collections/smart_map.h"
 #include "collections/smart_set.h"
 #include "common/random.h"
 #include "encodings/encoding.h"
 #include "report/table.h"
+#include "runtime/daemon.h"
+#include "runtime/entry_points.h"
 #include "smart/map_api.h"
 #include "smart/restructure.h"
 
@@ -81,21 +83,29 @@ int main() {
               static_cast<unsigned long long>(over_threshold));
 
   // --- 4. Adaptive restructuring. ------------------------------------------
+  // One registry slot keeps the array's identity across rebuilds; the
+  // daemon's AdaptSlot runs the §6 selection on a profile the caller
+  // measured, then rebuilds and publishes under its decision audit.
   std::printf("4) adaptive restructuring (observe -> decide -> rebuild)\n");
-  sa::adapt::SoftwareHints hints;
-  hints.read_only = true;
-  hints.mostly_reads = true;
-  hints.linear_passes = 20;
-  const auto caps = sa::adapt::MachineCaps::FromSpec(sa::sim::MachineSpec::OracleX5_18Core());
-  auto raw = sa::smart::SmartArray::Allocate(500'000, placement, 64, topo);
-  for (uint64_t i = 0; i < raw->length(); ++i) {
-    raw->Init(i, i % 4096);
+  sa::runtime::ArrayRegistry registry(topo);
+  sa::runtime::ArraySlot* slot = registry.Create("readings", 500'000, placement, 64);
+  for (uint64_t i = 0; i < slot->length(); ++i) {
+    slot->Write(i, i % 4096);
   }
-  sa::adapt::AdaptiveArray adaptive(std::move(raw), pool, topo, caps, hints,
-                                    sa::adapt::ArrayCosts::FromCostModel(
-                                        sa::sim::CostModel::Default()));
-  std::printf("   before: %s, %u-bit storage, %.1f MB\n", ToString(adaptive.current()).c_str(),
-              adaptive.array().bits(), adaptive.array().footprint_bytes() / 1e6);
+  slot->SealWrites();  // the upload does not count against read-only
+  for (int pass = 0; pass < 3; ++pass) {
+    slot->Acquire().SumRange(0, slot->length());  // linear read passes
+  }
+  const auto caps = sa::adapt::MachineCaps::FromSpec(sa::sim::MachineSpec::OracleX5_18Core());
+  sa::runtime::AdaptationDaemon daemon(
+      registry, pool, caps, sa::adapt::ArrayCosts::FromCostModel(sa::sim::CostModel::Default()));
+  const auto describe = [&](const char* label) {
+    const sa::runtime::ArraySnapshot snap = slot->Acquire();
+    const sa::adapt::Configuration config{snap.array().placement(), snap.bits() < 64};
+    std::printf("   %-9s %s, %u-bit storage, %.1f MB\n", label, ToString(config).c_str(),
+                snap.bits(), snap.array().footprint_bytes() / 1e6);
+  };
+  describe("before:");
   // Pretend PCM told us the last scan was bandwidth-bound (as it would on
   // the 18-core machine).
   sa::adapt::WorkloadCounters counters;
@@ -105,12 +115,17 @@ int main() {
   counters.max_ic_utilization = 0.8;
   counters.accesses_per_second = 2e9;
   counters.elem_bytes = 8;
-  counters.dataset_bytes = adaptive.array().footprint_bytes();
-  adaptive.ObserveProfile(counters);
-  const bool changed = adaptive.MaybeAdapt();
-  std::printf("   after:  %s, %u-bit storage, %.1f MB (%s)\n",
-              ToString(adaptive.current()).c_str(), adaptive.array().bits(),
-              adaptive.array().footprint_bytes() / 1e6,
-              changed ? "rebuilt on the fly" : "unchanged");
+  counters.dataset_bytes = static_cast<double>(slot->length()) * 8;
+  SaSlotDecision decision;
+  if (!daemon.AdaptSlot(*slot, counters) || saSlotExplainPublished(slot, &decision) == 0) {
+    std::fprintf(stderr, "   no adaptation was published\n");
+    return 1;
+  }
+  std::printf("   decision: %s, estimated speedup %.2f vs %.2f now (margin %.0f%%), "
+              "published as sequence %llu\n",
+              sa::adapt::ToString(static_cast<sa::adapt::DecisionReason>(decision.reason)),
+              decision.chosen_speedup, decision.current_speedup, decision.margin * 100.0,
+              static_cast<unsigned long long>(decision.published_sequence));
+  describe("after:");
   return 0;
 }

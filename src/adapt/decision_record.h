@@ -22,7 +22,7 @@ enum class DecisionReason : uint8_t {
   kRejectSameConfig = 1,
   kRejectMargin = 2,
   // The flap detector held the slot down: the chosen configuration is the
-  // one the slot moved away from within the last flap_window decisions, so
+  // one the slot moved away from within the daemon's flap window, so
   // accepting would oscillate A -> B -> A on workload noise.
   kFlapHold = 3,
 };

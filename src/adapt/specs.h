@@ -82,8 +82,8 @@ struct ArrayCosts {
   }
 };
 
-// Hysteresis margin for online adaptation, shared by AdaptiveArray and the
-// runtime's AdaptationDaemon: a restructure is only worth its rebuild cost
+// Hysteresis margin for online adaptation (the runtime AdaptationDaemon's
+// default min_predicted_win): a restructure is only worth its rebuild cost
 // (and the risk of ping-ponging on a noisy profile) when the chosen
 // configuration's estimated speedup exceeds the current configuration's by
 // at least this fraction.

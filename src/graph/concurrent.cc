@@ -7,15 +7,6 @@
 namespace sa::graph {
 namespace {
 
-template <typename T>
-uint32_t MinBitsFor(const std::vector<T>& values) {
-  T max_value = 0;
-  for (const T& v : values) {
-    max_value = std::max(max_value, v);
-  }
-  return BitsForValue(static_cast<uint64_t>(max_value));
-}
-
 // Creates `<name>` and uploads `values` through the slot's write path. The
 // first write stores the widest representable data value and is immediately
 // overwritten: it floors max_written_bits() at the data width, so a daemon
@@ -66,29 +57,18 @@ void GraphSnapshot::Release() {
 RegistryCsrGraph::RegistryCsrGraph(runtime::ArrayRegistry& registry, std::string_view prefix,
                                    const CsrGraph& csr, const SmartGraphOptions& options)
     : prefix_(prefix), num_vertices_(csr.num_vertices()), num_edges_(csr.num_edges()) {
-  // Same width tiers as SmartCsrGraph (Fig. 12): offsets natively 64-bit,
-  // vertex ids natively 32-bit; the compress flags tighten them to the data.
-  const uint32_t index_bits =
-      options.compress_indexes ? std::max(MinBitsFor(csr.begin()), MinBitsFor(csr.rbegin())) : 64;
-  const uint32_t edge_bits =
-      options.compress_edges ? std::max(MinBitsFor(csr.edge()), MinBitsFor(csr.redge())) : 32;
-
-  std::vector<uint64_t> degrees(num_vertices_);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    degrees[v] = csr.OutDegree(v);
-  }
-  const uint32_t degree_bits = options.compress_indexes ? MinBitsFor(degrees) : 64;
-
+  const CsrWidths widths = ChooseWidths(csr, options);
+  const smart::PlacementSpec& placement = options.placement;
   slots_.push_back(
-      UploadSlot(registry, prefix_ + ".begin", csr.begin(), index_bits, options.placement));
+      UploadSlot(registry, prefix_ + ".begin", csr.begin(), widths.index_bits, placement));
   slots_.push_back(
-      UploadSlot(registry, prefix_ + ".edge", csr.edge(), edge_bits, options.placement));
+      UploadSlot(registry, prefix_ + ".edge", csr.edge(), widths.edge_bits, placement));
   slots_.push_back(
-      UploadSlot(registry, prefix_ + ".rbegin", csr.rbegin(), index_bits, options.placement));
+      UploadSlot(registry, prefix_ + ".rbegin", csr.rbegin(), widths.index_bits, placement));
   slots_.push_back(
-      UploadSlot(registry, prefix_ + ".redge", csr.redge(), edge_bits, options.placement));
+      UploadSlot(registry, prefix_ + ".redge", csr.redge(), widths.edge_bits, placement));
   slots_.push_back(
-      UploadSlot(registry, prefix_ + ".deg", degrees, degree_bits, options.placement));
+      UploadSlot(registry, prefix_ + ".deg", widths.out_degrees, widths.degree_bits, placement));
 }
 
 GraphSnapshot RegistryCsrGraph::Pin() const {

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 
-#include "common/bits.h"
 #include "smart/parallel_ops.h"
 
 namespace sa::graph {
 namespace {
-
-// Least bits required to store every element of `values` (at least 1).
-template <typename T>
-uint32_t MinBitsFor(const std::vector<T>& values) {
-  T max_value = 0;
-  for (const T& v : values) {
-    max_value = std::max(max_value, v);
-  }
-  return BitsForValue(static_cast<uint64_t>(max_value));
-}
 
 template <typename T>
 std::unique_ptr<smart::SmartArray> MakeArray(const std::vector<T>& values, uint32_t bits,
@@ -36,27 +25,32 @@ std::unique_ptr<smart::SmartArray> MakeArray(const std::vector<T>& values, uint3
 
 }  // namespace
 
+CsrWidths ChooseWidths(const CsrGraph& csr, const SmartGraphOptions& options) {
+  CsrWidths widths;
+  widths.out_degrees.resize(csr.num_vertices());
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    widths.out_degrees[v] = csr.OutDegree(v);
+  }
+  if (options.compress_indexes) {
+    widths.index_bits = std::max(MinBitsFor(csr.begin()), MinBitsFor(csr.rbegin()));
+    widths.degree_bits = MinBitsFor(widths.out_degrees);
+  }
+  if (options.compress_edges) {
+    widths.edge_bits = std::max(MinBitsFor(csr.edge()), MinBitsFor(csr.redge()));
+  }
+  return widths;
+}
+
 SmartCsrGraph::SmartCsrGraph(const CsrGraph& csr, const SmartGraphOptions& options,
                              const platform::Topology& topology, rts::WorkerPool& pool)
     : num_vertices_(csr.num_vertices()), num_edges_(csr.num_edges()), options_(options) {
-  // Widths per the Fig. 12 variants. Edge IDs (offsets) natively 64-bit,
-  // vertex IDs natively 32-bit (§5.2).
-  const uint32_t index_bits =
-      options.compress_indexes ? std::max(MinBitsFor(csr.begin()), MinBitsFor(csr.rbegin())) : 64;
-  const uint32_t edge_bits =
-      options.compress_edges ? std::max(MinBitsFor(csr.edge()), MinBitsFor(csr.redge())) : 32;
-
-  begin_ = MakeArray(csr.begin(), index_bits, options.placement, topology, pool);
-  rbegin_ = MakeArray(csr.rbegin(), index_bits, options.placement, topology, pool);
-  edge_ = MakeArray(csr.edge(), edge_bits, options.placement, topology, pool);
-  redge_ = MakeArray(csr.redge(), edge_bits, options.placement, topology, pool);
-
-  std::vector<uint64_t> degrees(num_vertices_);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    degrees[v] = csr.OutDegree(v);
-  }
-  const uint32_t degree_bits = options.compress_indexes ? MinBitsFor(degrees) : 64;
-  out_degree_ = MakeArray(degrees, degree_bits, options.placement, topology, pool);
+  const CsrWidths widths = ChooseWidths(csr, options);
+  begin_ = MakeArray(csr.begin(), widths.index_bits, options.placement, topology, pool);
+  rbegin_ = MakeArray(csr.rbegin(), widths.index_bits, options.placement, topology, pool);
+  edge_ = MakeArray(csr.edge(), widths.edge_bits, options.placement, topology, pool);
+  redge_ = MakeArray(csr.redge(), widths.edge_bits, options.placement, topology, pool);
+  out_degree_ =
+      MakeArray(widths.out_degrees, widths.degree_bits, options.placement, topology, pool);
 }
 
 uint64_t SmartCsrGraph::footprint_bytes() const {

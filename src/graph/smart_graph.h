@@ -8,8 +8,11 @@
 #ifndef SA_GRAPH_SMART_GRAPH_H_
 #define SA_GRAPH_SMART_GRAPH_H_
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "common/bits.h"
 #include "graph/csr.h"
 #include "graph/view.h"
 #include "rts/worker_pool.h"
@@ -26,6 +29,28 @@ struct SmartGraphOptions {
   // instead of 32.
   bool compress_edges = false;
 };
+
+// Least bits required to store every element of `values` (at least 1).
+template <typename T>
+uint32_t MinBitsFor(const std::vector<T>& values) {
+  T max_value = 0;
+  for (const T& v : values) {
+    max_value = std::max(max_value, v);
+  }
+  return BitsForValue(static_cast<uint64_t>(max_value));
+}
+
+// Storage widths of the Fig. 12 variants for `csr`, and the out-degree
+// property they size. Offsets are natively 64-bit and vertex ids 32-bit
+// (§5.2); the compress flags tighten each to the least bits its data needs.
+// SmartCsrGraph and RegistryCsrGraph both store at these widths.
+struct CsrWidths {
+  uint32_t index_bits = 64;  // begin, rbegin
+  uint32_t edge_bits = 32;   // edge, redge
+  uint32_t degree_bits = 64;
+  std::vector<uint64_t> out_degrees;
+};
+CsrWidths ChooseWidths(const CsrGraph& csr, const SmartGraphOptions& options);
 
 class SmartCsrGraph {
  public:

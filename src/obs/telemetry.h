@@ -28,8 +28,9 @@
 
 namespace sa::obs {
 
-// Append-only: exported names key off these ids, and the testkit snapshots
-// them by index. Add new ids immediately before the *Count sentinel.
+// Exported names key off these ids (telemetry.cc's name table is indexed by
+// them; the C ABI and the Prometheus export go by name, so removing an id
+// removes its name too). Add new ids immediately before the *Count sentinel.
 enum CounterId : int {
   kSnapshotAcquires = 0,
   kSnapshotReads,
@@ -74,7 +75,6 @@ enum CounterId : int {
   // Decision audit + calibration loop (PR 10).
   kDaemonFlapHolds,        // accepted-worthy decisions suppressed by hold-down
   kDaemonDecisionsScored,  // published decisions scored realized-vs-predicted
-  kAdaptiveKeepMargin,     // AdaptiveArray keep-current due to hysteresis
   kKernelSelectAvx512,     // widths whose sum kernels calibrated to AVX-512
   kCounterIdCount,
 };

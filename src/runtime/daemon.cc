@@ -137,7 +137,7 @@ int AdaptationDaemon::ProcessShard(int shard) {
   // Admission control: restructures create retired versions; when the
   // shard's reclamation is behind (a pinned reader, or simply too many
   // rebuilds in flight), stop adding debt and let reclaim catch up.
-  const bool backpressure = registry_->shard_retired(shard) > options_.max_retired_debt;
+  const bool backpressure = registry_->shard_retired(shard) > kMaxRetiredDebt;
   int restructured = 0;
   for (ArraySlot* slot : registry_->DrainSampleQueue(shard)) {
     restructured += ProcessSlot(*slot, backpressure) ? 1 : 0;
@@ -193,7 +193,7 @@ bool AdaptationDaemon::ProcessSlot(ArraySlot& slot, bool backpressure) {
     return false;
   }
   const adapt::WorkloadCounters counters =
-      SynthesizeCounters(sample, slot.length(), machine_, options_.cycles_per_access);
+      SynthesizeCounters(sample, slot.length(), machine_, DaemonOptions::cycles_per_access);
   return AdaptSlotTraced(slot, counters, trace_id);
 }
 
@@ -318,8 +318,8 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
   if (result.chosen == current) {
     reason = adapt::DecisionReason::kRejectSameConfig;
   } else if (chosen_speedup < current_speedup * (1.0 + options_.min_predicted_win)) {
-    // Hysteresis (shared with AdaptiveArray::MaybeAdapt): the estimated win
-    // over the *current* configuration must clear the margin.
+    // Hysteresis: the estimated win over the *current* configuration must
+    // clear the margin.
     reason = adapt::DecisionReason::kRejectMargin;
   }
 
@@ -331,17 +331,16 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
   if (options_.audit) {
     audit = &slot.EnsureAudit();
     std::lock_guard<std::mutex> lock(audit->mu);
-    if (reason == adapt::DecisionReason::kAccepted && options_.flap_window > 0 &&
-        options_.flap_hold_decisions > 0) {
+    if (reason == adapt::DecisionReason::kAccepted) {
       if (audit->hold_remaining > 0) {
         --audit->hold_remaining;
         reason = adapt::DecisionReason::kFlapHold;
       } else if (audit->has_prev_config && result.chosen == audit->prev_config &&
                  audit->decisions - audit->last_accept_index <=
-                     static_cast<uint64_t>(options_.flap_window)) {
+                     static_cast<uint64_t>(kFlapWindow)) {
         // A -> B -> A within the window: the slot is oscillating on workload
         // noise. Refuse, and hold further config changes down.
-        audit->hold_remaining = options_.flap_hold_decisions;
+        audit->hold_remaining = kFlapHoldDecisions;
         reason = adapt::DecisionReason::kFlapHold;
       }
       hold_remaining = audit->hold_remaining;

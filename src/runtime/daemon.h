@@ -1,15 +1,17 @@
-// AdaptationDaemon: the background half of the online-adaptation runtime.
-//
-// The paper's §6 workflow — profile, run the two-step selector, restructure
-// — is driven by the *caller* in AdaptiveArray. Under a service workload
-// nobody owns the loop, so the daemon periodically: drains each slot's
-// sampled workload counters, synthesizes the §6 PCM-style WorkloadCounters
-// from them, re-runs the selector with hysteresis (the predicted win must
-// beat adapt::kDefaultAdaptationMargin, shared with AdaptiveArray), rebuilds
-// the storage via smart::TryRestructure on the worker pool, and publishes
-// the new representation with a single pointer swap; the old one goes to
-// the epoch garbage list (§7: "re-apply its adaptivity workflow to select
-// a potentially new set of smart functionalities").
+// AdaptationDaemon: the one online-adaptation loop of the runtime (§6/§7:
+// profile the workload, run the two-step selector, "restructure the array
+// on the fly", and "re-apply its adaptivity workflow" when the workload
+// changes). Three kinds of caller reach the same decision path:
+//   * background passes (Start/Stop) for service workloads nobody drives;
+//   * RunOnce, one synchronous pass for tests and the CLI;
+//   * AdaptSlot(slot, counters) for callers that measure their own profile.
+// A pass drains each slot's sampled workload counters, synthesizes the §6
+// PCM-style WorkloadCounters from them, re-runs the selector with
+// hysteresis (the predicted win must beat min_predicted_win, by default
+// adapt::kDefaultAdaptationMargin), audits the decision, rebuilds the
+// storage via smart::TryRestructure on the worker pool, and publishes the
+// new representation with a single pointer swap; the old one goes to the
+// epoch garbage list.
 //
 // At multi-tenant scale the daemon is a worker *set* over the registry's
 // shards rather than one thread over all slots:
@@ -20,7 +22,7 @@
 //     then steals any other shard whose owner is behind — idle workers
 //     absorb load imbalance without a handoff protocol.
 //   * Backpressure: when a shard's retired-version debt exceeds
-//     max_retired_debt, the pass drains samples and reclaims but skips
+//     kMaxRetiredDebt, the pass drains samples and reclaims but skips
 //     restructures (kDaemonBackpressureDrops), so a stalled reader cannot
 //     make the daemon amplify memory pressure.
 #ifndef SA_RUNTIME_DAEMON_H_
@@ -39,6 +41,19 @@
 
 namespace sa::runtime {
 
+// Admission control: a shard whose epoch domain holds more retired versions
+// than this gets sample drains and reclamation but no new restructures
+// until the debt drains.
+inline constexpr size_t kMaxRetiredDebt = 64;
+
+// Flap detector: an accepted decision that returns to the configuration
+// the slot moved away from within the last kFlapWindow recorded decisions
+// is a flap; the slot is then held down (decisions that would change its
+// configuration are refused with DecisionReason::kFlapHold) for the next
+// kFlapHoldDecisions such decisions.
+inline constexpr int kFlapWindow = 4;
+inline constexpr int kFlapHoldDecisions = 8;
+
 struct DaemonOptions {
   // Wall time between adaptation passes over a given shard.
   std::chrono::milliseconds interval{200};
@@ -51,13 +66,9 @@ struct DaemonOptions {
   uint64_t min_sampled_accesses = 4096;
   // Crude execution-demand model for synthesized counters: core cycles
   // consumed per element access (the real system measures this with PCM).
-  double cycles_per_access = 4.0;
+  static constexpr double cycles_per_access = 4.0;
   // Background worker threads servicing the shard set.
   int num_workers = 1;
-  // Admission control: a shard whose epoch domain holds more retired
-  // versions than this gets sample drains and reclamation but no new
-  // restructures until the debt drains.
-  size_t max_retired_debt = 64;
 
   // ---- decision audit + calibration (runtime/audit.h) ----
   // Record a DecisionRecord per selector run in the slot's audit ring,
@@ -65,13 +76,6 @@ struct DaemonOptions {
   // detector. Off only to measure the audit layer's own overhead
   // (bench/micro_runtime.cc) — explain/flap/score all need it.
   bool audit = true;
-  // Flap detector: an accepted decision that returns to the configuration
-  // the slot moved away from within the last `flap_window` recorded
-  // decisions is a flap; the slot is then held down (decisions that would
-  // change its configuration are refused with DecisionReason::kFlapHold)
-  // for the next `flap_hold_decisions` such decisions. 0 disables.
-  int flap_window = 4;
-  int flap_hold_decisions = 8;
   // Test hook: scales the chosen configuration's estimated speedup before
   // the margin test and the calibration score (1.0 = trust the estimator).
   // Lets tests plant a misprediction and assert the calibration loop
@@ -99,11 +103,12 @@ class AdaptationDaemon {
   int RunOnce();
 
   // Decision + rebuild + publish for one slot under explicit counters — the
-  // deterministic core of a pass. Serialized across workers (the shared
-  // WorkerPool does not nest). Returns true when a new representation was
-  // published. Allocates a fresh trace id for the attempt; every decision
-  // (including rejects and flap holds) lands in the slot's audit ring when
-  // options.audit is on.
+  // deterministic core of a pass, and the entry for callers that measure
+  // their own profile (the hints still come from HintsFor). Serialized
+  // across workers (the shared WorkerPool does not nest). Returns true when
+  // a new representation was published. Allocates a fresh trace id for the
+  // attempt; every decision (including rejects and flap holds) lands in the
+  // slot's audit ring when options.audit is on.
   bool AdaptSlot(ArraySlot& slot, const adapt::WorkloadCounters& counters);
 
   // §6-style counters synthesized from an interval sample: access rate and

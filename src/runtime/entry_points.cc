@@ -86,9 +86,13 @@ void saRegistryFree(void* reg) {
 
 void* saRegistryDefine(void* reg, const char* name, uint64_t length, int replicated,
                        int interleaved, int pinned, uint32_t bits) {
-  SA_CHECK_MSG(!(replicated && interleaved), "data placements cannot be combined");
-  SA_CHECK_MSG(!((replicated || interleaved) && pinned >= 0),
-               "data placements cannot be combined");
+  ArrayRegistry& registry = *Reg(reg)->registry;
+  const bool combined =
+      (replicated && interleaved) || ((replicated || interleaved) && pinned >= 0);
+  if (name == nullptr || length == 0 || bits < 1 || bits > 64 || combined ||
+      pinned >= registry.topology().num_sockets()) {
+    return nullptr;
+  }
   sa::smart::PlacementSpec placement = sa::smart::PlacementSpec::OsDefault();
   if (replicated) {
     placement = sa::smart::PlacementSpec::Replicated();
@@ -97,10 +101,12 @@ void* saRegistryDefine(void* reg, const char* name, uint64_t length, int replica
   } else if (pinned >= 0) {
     placement = sa::smart::PlacementSpec::SingleSocket(pinned);
   }
-  return Reg(reg)->registry->Create(name, length, placement, bits);
+  return registry.TryCreate(name, length, placement, bits);
 }
 
-void* saRegistryOpen(void* reg, const char* name) { return Reg(reg)->registry->Open(name); }
+void* saRegistryOpen(void* reg, const char* name) {
+  return name == nullptr ? nullptr : Reg(reg)->registry->Open(name);
+}
 
 int saRegistryCount(void* reg) { return static_cast<int>(Reg(reg)->registry->size()); }
 
@@ -127,6 +133,9 @@ int64_t saRegistryShardRetired(void* reg, int shard) {
 }
 
 void* saRegistryAcquire(void* reg, const char* name) {
+  if (name == nullptr) {
+    return nullptr;
+  }
   ArraySnapshot snapshot = Reg(reg)->registry->AcquireByName(name);
   if (!snapshot.valid()) {
     return nullptr;
@@ -294,7 +303,11 @@ void* saSlotTryPin(void* slot) {
 
 void saSnapshotUnpin(void* snap) { delete Snap(snap); }
 
-uint64_t saSnapshotRead(void* snap, uint64_t index) { return Snap(snap)->Get(index); }
+uint64_t saSnapshotRead(void* snap, uint64_t index) {
+  ArraySnapshot* snapshot = Snap(snap);
+  SA_CHECK_MSG(index < snapshot->length(), "index out of range");
+  return snapshot->Get(index);
+}
 
 uint64_t saSnapshotSumRange(void* snap, uint64_t begin, uint64_t end) {
   return Snap(snap)->SumRange(begin, end);

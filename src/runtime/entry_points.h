@@ -33,11 +33,15 @@ void saRegistryFree(void* reg);
 
 // Creates a named array slot. Placement flags mirror saArrayAllocate:
 // `pinned` is the target socket or -1; flags are mutually exclusive, none
-// selects the OS default policy. Returns a borrowed slot handle.
+// selects the OS default policy. Returns a borrowed slot handle, or NULL
+// (without aborting) for a NULL name, length 0, bits outside 1..64,
+// combined placement flags, a pinned socket outside the registry's
+// topology, or a name that is already defined.
 void* saRegistryDefine(void* reg, const char* name, uint64_t length, int replicated,
                        int interleaved, int pinned, uint32_t bits);
 
-// Looks up a slot by name; NULL when absent. Borrowed handle.
+// Looks up a slot by name; NULL when absent or when name is NULL. Borrowed
+// handle.
 void* saRegistryOpen(void* reg, const char* name);
 
 int saRegistryCount(void* reg);
@@ -59,8 +63,8 @@ int64_t saRegistryShardRetired(void* reg, int shard);
 
 // By-name snapshot acquisition in one call: hashes the name once and probes
 // the owning shard's lock-free index under an epoch pin — the multi-tenant
-// reader hot path. NULL when the name is unknown or the shard's pin slots
-// are exhausted (admission control). Unpin with saSnapshotUnpin.
+// reader hot path. NULL when the name is NULL or unknown, or the shard's pin
+// slots are exhausted (admission control). Unpin with saSnapshotUnpin.
 void* saRegistryAcquire(void* reg, const char* name);
 
 // ---- Adaptation daemon ----
@@ -183,6 +187,7 @@ void* saSlotPin(void* slot);
 void* saSlotTryPin(void* slot);
 void saSnapshotUnpin(void* snap);
 
+// Aborts with "index out of range" unless index < saSnapshotLength(snap).
 uint64_t saSnapshotRead(void* snap, uint64_t index);
 // Chunk-granular block-kernel sum over [begin, end).
 uint64_t saSnapshotSumRange(void* snap, uint64_t begin, uint64_t end);

@@ -544,6 +544,13 @@ RegistryShard& ArrayRegistry::ShardFor(uint64_t hash) const {
 
 ArraySlot* ArrayRegistry::Create(std::string_view name, uint64_t length,
                                  smart::PlacementSpec placement, uint32_t bits) {
+  ArraySlot* slot = TryCreate(name, length, placement, bits);
+  SA_CHECK_MSG(slot != nullptr, "registry slot name already exists");
+  return slot;
+}
+
+ArraySlot* ArrayRegistry::TryCreate(std::string_view name, uint64_t length,
+                                    smart::PlacementSpec placement, uint32_t bits) {
   auto storage = smart::SmartArray::Allocate(length, placement, bits, topology_);
   auto version = std::make_unique<ArrayVersion>();
   version->storage = std::move(storage);
@@ -553,8 +560,9 @@ ArraySlot* ArrayRegistry::Create(std::string_view name, uint64_t length,
   const uint64_t hash = HashName(name);
   RegistryShard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  SA_CHECK_MSG(shard.slots.find(name) == shard.slots.end(),
-               "registry slot name already exists");
+  if (shard.slots.find(name) != shard.slots.end()) {
+    return nullptr;
+  }
   auto slot =
       std::unique_ptr<ArraySlot>(new ArraySlot(std::string(name), length, &shard.epoch));
   slot->name_hash_ = hash;

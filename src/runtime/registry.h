@@ -389,8 +389,11 @@ class ArrayRegistry {
   ArrayRegistry(const ArrayRegistry&) = delete;
   ArrayRegistry& operator=(const ArrayRegistry&) = delete;
 
-  // Creates a named slot with freshly allocated storage. Aborts on
-  // duplicate names. Control path (per-shard mutex).
+  // Creates a named slot with freshly allocated storage; nullptr when the
+  // name is already taken (checked under the shard mutex). Control path.
+  ArraySlot* TryCreate(std::string_view name, uint64_t length, smart::PlacementSpec placement,
+                       uint32_t bits);
+  // TryCreate that aborts on a duplicate name.
   ArraySlot* Create(std::string_view name, uint64_t length, smart::PlacementSpec placement,
                     uint32_t bits);
 

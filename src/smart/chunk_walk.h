@@ -163,8 +163,11 @@ uint64_t WalkScan(const SmartArray& array, const CodecOps& codec, const uint64_t
   }
 }
 
-// The [min, max] of values[0..n), n >= 1, as a branch-free loop the
-// compiler vectorizes (std::minmax_element branches per element).
+// The [min, max] of values[0..n), n >= 1, as a branch-free loop
+// (std::minmax_element branches per element). It does not vectorize: the
+// baseline x86-64 flags have no unsigned 64-bit vector min/max, so it runs
+// as two compare-select chains: 60-100 ns per 64-value chunk on a 4-core
+// Xeon VM.
 inline std::pair<uint64_t, uint64_t> ChunkBounds(const uint64_t* values, uint64_t n) {
   uint64_t lo = values[0];
   uint64_t hi = values[0];

@@ -1,6 +1,11 @@
 // End-to-end adaptivity evaluation (§6.3): the selector must approach the
-// paper's accuracy against the simulator's ground truth.
+// paper's accuracy against the simulator's ground truth, for single arrays
+// and for the multi-array PageRank extension.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "adapt/cases.h"
 
@@ -74,6 +79,52 @@ TEST(EvaluationTest, PerCaseRecordsAreComplete) {
     EXPECT_GT(pc.optimal_seconds, 0.0);
     EXPECT_GE(pc.chosen_seconds, pc.optimal_seconds * (1 - 1e-9));
   }
+}
+
+// ---- multi-array (PageRank) extension ----
+
+TEST(PageRankAdaptivityTest, CasesAreWellFormed) {
+  CaseGridOptions options;
+  options.scenarios = {MemoryScenario::kPlenty};
+  const auto cases = BuildPageRankCases(sim::MachineSpec::OracleX5_8Core(), options);
+  ASSERT_EQ(cases.size(), 1u);
+  const auto& c = cases.front();
+  EXPECT_GT(c.inputs.counters.random_fraction, 0.5);
+  EXPECT_NEAR(c.inputs.compression_ratio, 0.79, 0.02);  // V+E footprint ratio
+  EXPECT_GT(c.inputs.counters.dataset_bytes, 1e10);
+}
+
+TEST(PageRankAdaptivityTest, SelectorPicksReplicationOnEightCore) {
+  // The Fig. 1 result, reached automatically through the multi-array case.
+  CaseGridOptions options;
+  options.scenarios = {MemoryScenario::kPlenty};
+  const auto cases = BuildPageRankCases(sim::MachineSpec::OracleX5_8Core(), options);
+  const auto result = ChooseConfiguration(cases.front().inputs);
+  EXPECT_EQ(result.chosen.placement.kind, smart::Placement::kReplicated);
+  // And the choice must actually be (near-)optimal per the simulator.
+  const auto all = CandidateConfigurations(MemoryScenario::kPlenty);
+  double best = 1e300;
+  for (const auto& config : all) {
+    best = std::min(best, cases.front().run_seconds(config));
+  }
+  EXPECT_LE(cases.front().run_seconds(result.chosen), best * 1.1);
+}
+
+TEST(PageRankAdaptivityTest, EvaluationAccuracyAcrossMachinesAndScenarios) {
+  CaseGridOptions options;  // all three scenarios
+  std::vector<EvalCase> cases;
+  for (const auto& spec :
+       {sim::MachineSpec::OracleX5_8Core(), sim::MachineSpec::OracleX5_18Core()}) {
+    auto c = BuildPageRankCases(spec, options);
+    cases.insert(cases.end(), std::make_move_iterator(c.begin()),
+                 std::make_move_iterator(c.end()));
+  }
+  const EvalOutcome outcome = EvaluateAdaptivity(cases);
+  EXPECT_EQ(outcome.overall_cases, 6);
+  // The multi-array extension should still be right most of the time and
+  // never catastrophically wrong.
+  EXPECT_GE(outcome.overall_correct, 4);
+  EXPECT_LT(outcome.avg_pct_from_optimal, 15.0);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "adapt/adaptive_array.h"
 #include "common/log.h"
 #include "obs/entry_points.h"
 #include "obs/telemetry.h"
@@ -148,41 +147,29 @@ TEST_F(ObsRuntimeTest, DecisionRejectionsAreCountedByReason) {
   EXPECT_EQ(CounterValue(obs::kDaemonRejectMargin), margin_before + 1);
 }
 
-// Satellite: an AdaptiveArray that wants to move but can't clear the margin
-// keeps the current configuration — and that keep has its own counter,
-// distinct from both same-config keeps and the daemon's margin rejects.
+// An adaptive array (one slot its owner adapts with AdaptSlot) that wants to
+// move but cannot clear the margin keeps its configuration, and that keep
+// has its own counter, apart from same-config keeps.
 TEST_F(ObsRuntimeTest, AdaptiveArrayMarginKeepHasDedicatedCounter) {
-  const uint64_t n = 4096;
-  auto storage =
-      smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topo_);
-  for (uint64_t i = 0; i < n; ++i) {
-    storage->Init(i, i % 1024);  // 10 data bits: compression is on the table
-  }
+  ArraySlot* slot = MakeReadOnlySlot("adaptive", 4096);
   // A margin no prediction can clear: the selector's choice (compressed)
   // differs from the current config, so the keep is by hysteresis alone.
-  adapt::AdaptationPolicy cautious;
-  cautious.min_predicted_win = 100.0;
-  adapt::AdaptiveArray adaptive(std::move(storage), pool_, topo_, machine_,
-                                adapt::SoftwareHints{}, costs_, cautious);
-  adaptive.ObserveProfile(MemBoundStreamingCounters(machine_));
+  DaemonOptions strict;
+  strict.min_predicted_win = 100.0;
+  AdaptationDaemon cautious = MakeDaemon(strict);
+  const uint64_t margin_before = CounterValue(obs::kDaemonRejectMargin);
+  const uint64_t same_before = CounterValue(obs::kDaemonRejectSame);
+  EXPECT_FALSE(cautious.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
+  EXPECT_EQ(CounterValue(obs::kDaemonRejectMargin), margin_before + 1);
+  EXPECT_EQ(CounterValue(obs::kDaemonRejectSame), same_before);
+  EXPECT_EQ(cautious.adaptations(), 0u);
 
-  const uint64_t keeps_before = CounterValue(obs::kAdaptiveKeepMargin);
-  EXPECT_FALSE(adaptive.MaybeAdapt());
-  EXPECT_EQ(CounterValue(obs::kAdaptiveKeepMargin), keeps_before + 1);
-  EXPECT_EQ(adaptive.adaptations(), 0);
-
-  // With the default margin the same profile adapts — no margin keep.
-  auto storage2 =
-      smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topo_);
-  for (uint64_t i = 0; i < n; ++i) {
-    storage2->Init(i, i % 1024);
-  }
-  adapt::AdaptiveArray eager(std::move(storage2), pool_, topo_, machine_,
-                             adapt::SoftwareHints{}, costs_, {});
-  eager.ObserveProfile(MemBoundStreamingCounters(machine_));
-  EXPECT_TRUE(eager.MaybeAdapt());
-  EXPECT_EQ(CounterValue(obs::kAdaptiveKeepMargin), keeps_before + 1);
-  EXPECT_EQ(eager.adaptations(), 1);
+  // With the default margin the same profile adapts: no keep is counted.
+  AdaptationDaemon eager = MakeDaemon();
+  EXPECT_TRUE(eager.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
+  EXPECT_EQ(CounterValue(obs::kDaemonRejectMargin), margin_before + 1);
+  EXPECT_EQ(CounterValue(obs::kDaemonRejectSame), same_before);
+  EXPECT_EQ(eager.adaptations(), 1u);
 }
 
 TEST_F(ObsRuntimeTest, SnapshotLifecycleFeedsCountersAndGauges) {

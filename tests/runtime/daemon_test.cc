@@ -10,13 +10,14 @@
 
 #include "obs/telemetry.h"
 #include "runtime/daemon.h"
+#include "runtime/entry_points.h"
 #include "sim/machine_spec.h"
 
 namespace sa::runtime {
 namespace {
 
-// The §5.1 memory-bound streaming shape (same as the AdaptiveArray tests):
-// read-only scans saturating memory and interconnect with compute headroom.
+// The §5.1 memory-bound streaming shape: read-only scans saturating memory
+// and interconnect with compute headroom.
 adapt::WorkloadCounters MemBoundStreamingCounters(const adapt::MachineCaps& caps) {
   adapt::WorkloadCounters c;
   c.exec_current_per_socket = caps.exec_max_per_socket * 0.2;
@@ -108,6 +109,83 @@ TEST_F(AdaptationDaemonTest, HysteresisMarginBlocksMarginalWins) {
   AdaptationDaemon daemon = MakeDaemon(options);
   EXPECT_FALSE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
   EXPECT_EQ(slot->sequence(), 1u);
+}
+
+// An adaptive array is one registry slot that its owner adapts with
+// AdaptSlot on a profile it measured itself (examples/compression_lab.cpp
+// §4): the slot keeps the array's identity across rebuilds.
+class AdaptiveArrayTest : public AdaptationDaemonTest {
+ protected:
+  // 10,000 elements of `data_bits`-wide values in the interleaved,
+  // uncompressed profiling shape, read by three linear passes.
+  ArraySlot* Make(uint32_t data_bits) {
+    ArraySlot* slot =
+        registry_.Create("adaptive", 10'000, smart::PlacementSpec::Interleaved(), 64);
+    for (uint64_t i = 0; i < slot->length(); ++i) {
+      slot->Write(i, i % (uint64_t{1} << data_bits));
+    }
+    slot->SealWrites();
+    for (int pass = 0; pass < 3; ++pass) {
+      slot->Acquire().SumRange(0, slot->length());
+    }
+    return slot;
+  }
+};
+
+TEST_F(AdaptiveArrayTest, MeasuresDataWidthUpFront) {
+  ArraySlot* slot = Make(13);
+  EXPECT_EQ(slot->bits(), 64u);
+  EXPECT_EQ(slot->placement().kind, smart::Placement::kInterleaved);
+  AdaptationDaemon daemon = MakeDaemon();
+  ASSERT_TRUE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
+  // The decision priced the compressed candidate at the measured width,
+  // before any rebuild, and the rebuild stored exactly that width.
+  SaSlotDecision decision;
+  ASSERT_EQ(saSlotExplainPublished(slot, &decision), 1u);
+  EXPECT_EQ((decision.packed_chosen >> 16) & 0xff, 13u);
+  EXPECT_EQ(slot->bits(), 13u);
+}
+
+TEST_F(AdaptiveArrayTest, AdaptsToMemoryBoundProfile) {
+  ArraySlot* slot = Make(10);
+  AdaptationDaemon daemon = MakeDaemon();
+  EXPECT_TRUE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
+  // 18-core, read-only, memory-bound, big compute headroom: the §5.1 answer
+  // is replicated + compressed, and the storage must now implement it.
+  EXPECT_EQ(slot->placement().kind, smart::Placement::kReplicated);
+  EXPECT_EQ(slot->bits(), 10u);
+  // Contents survived the restructure on every replica.
+  ArraySnapshot snap = slot->Acquire();
+  for (int s = 0; s < topo_.num_sockets(); ++s) {
+    for (uint64_t i = 0; i < snap.length(); i += 97) {
+      ASSERT_EQ(snap.array().Get(i, snap.array().GetReplica(s)), i % 1024);
+    }
+  }
+  EXPECT_EQ(daemon.adaptations(), 1u);
+}
+
+TEST_F(AdaptiveArrayTest, StableProfileDoesNotThrash) {
+  ArraySlot* slot = Make(10);
+  AdaptationDaemon daemon = MakeDaemon();
+  const adapt::WorkloadCounters counters = MemBoundStreamingCounters(machine_);
+  ASSERT_TRUE(daemon.AdaptSlot(*slot, counters));
+  const uint64_t sequence = slot->sequence();
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_FALSE(daemon.AdaptSlot(*slot, counters));  // same decision, no rebuild
+  }
+  EXPECT_EQ(slot->sequence(), sequence);
+  EXPECT_EQ(daemon.adaptations(), 1u);
+}
+
+TEST_F(AdaptiveArrayTest, CpuBoundProfileKeepsInterleavedUncompressed) {
+  ArraySlot* slot = Make(10);
+  AdaptationDaemon daemon = MakeDaemon();
+  adapt::WorkloadCounters counters = MemBoundStreamingCounters(machine_);
+  counters.max_mem_utilization = 0.2;  // not memory bound at all
+  counters.max_ic_utilization = 0.2;
+  EXPECT_FALSE(daemon.AdaptSlot(*slot, counters));
+  EXPECT_EQ(slot->placement().kind, smart::Placement::kInterleaved);
+  EXPECT_EQ(slot->bits(), 64u);
 }
 
 TEST_F(AdaptationDaemonTest, SynthesizeCountersMapsSampleToRates) {
@@ -311,14 +389,15 @@ TEST(DaemonWorkerSetTest, SpareWorkerStealsTheOnlyShard) {
 }
 
 TEST_F(AdaptationDaemonTest, BackpressureDefersRestructuresUnderRetiredDebt) {
-  // A parked reader keeps retired versions alive; with max_retired_debt=0
-  // the daemon must keep draining samples but refuse new restructures,
-  // counting each deferral.
+  // A parked reader keeps retired versions alive; once they exceed
+  // kMaxRetiredDebt the daemon must keep draining samples but refuse new
+  // restructures, counting each deferral.
   ArraySlot* slot = MakeReadOnlySlot("debt", 1 << 16);
-  // Park a pin, then publish once more: the retired version cannot drain.
+  // Park a pin, then publish one version more than the debt allows: none of
+  // the retired versions can drain.
   ArraySnapshot parked = slot->TryAcquire();
   ASSERT_TRUE(parked.valid());
-  {
+  for (size_t v = 0; v <= kMaxRetiredDebt; ++v) {
     auto storage = smart::SmartArray::Allocate(slot->length(),
                                                smart::PlacementSpec::Interleaved(), 64, topo_);
     for (uint64_t i = 0; i < slot->length(); ++i) {
@@ -326,6 +405,8 @@ TEST_F(AdaptationDaemonTest, BackpressureDefersRestructuresUnderRetiredDebt) {
     }
     ASSERT_TRUE(registry_.Publish(*slot, std::move(storage), slot->write_count()));
   }
+  ASSERT_GT(registry_.shard_retired(0), kMaxRetiredDebt);
+  const uint64_t sequence = slot->sequence();
   // Rebuild the §5.1 adaptation-candidate profile on the new version.
   for (int pass = 0; pass < 3; ++pass) {
     ArraySnapshot snap = slot->Acquire();
@@ -334,10 +415,9 @@ TEST_F(AdaptationDaemonTest, BackpressureDefersRestructuresUnderRetiredDebt) {
   const uint64_t drops_before = obs::CounterValue(obs::kDaemonBackpressureDrops);
   DaemonOptions options;
   options.min_sampled_accesses = 16;
-  options.max_retired_debt = 0;
   AdaptationDaemon daemon = MakeDaemon(options);
   EXPECT_EQ(daemon.RunOnce(), 0);  // deferred, not adapted
-  EXPECT_EQ(slot->sequence(), 2u);
+  EXPECT_EQ(slot->sequence(), sequence);
   EXPECT_GT(obs::CounterValue(obs::kDaemonBackpressureDrops), drops_before);
 
   // Debt drains once the reader leaves; restructures go through again.
@@ -345,7 +425,7 @@ TEST_F(AdaptationDaemonTest, BackpressureDefersRestructuresUnderRetiredDebt) {
   while (registry_.Reclaim() == 0) {
   }
   EXPECT_TRUE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
-  EXPECT_EQ(slot->sequence(), 3u);
+  EXPECT_EQ(slot->sequence(), sequence + 1);
 }
 #endif  // SA_OBS
 

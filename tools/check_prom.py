@@ -40,7 +40,6 @@ EXPECTED_COUNTERS = [
     "sa_daemon_reject_margin_total",
     "sa_daemon_flap_holds_total",
     "sa_daemon_decisions_scored_total",
-    "sa_adaptive_keep_current_margin_total",
     "sa_restructures_total",
     "sa_restructure_overflow_aborts_total",
     "sa_unpack_range_calls_total",
