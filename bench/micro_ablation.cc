@@ -138,14 +138,19 @@ void BM_DispatchCompileTime(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchCompileTime);
 
+// BM_ScanViaUnpack's decoder and loop, with the decoder picked from a width
+// the compiler cannot see: one indirect call per chunk.
 void BM_DispatchRuntimeBits(benchmark::State& state) {
   const auto words = MakeWords();
-  const auto& codec = sa::smart::CodecFor(kBits);
+  uint32_t bits = kBits;
+  benchmark::DoNotOptimize(bits);
+  const auto unpack = sa::smart::WithBits(
+      bits, [](auto b) { return &sa::smart::BitCompressedArray<b()>::UnpackImpl; });
   uint64_t out[sa::kChunkElems];
   for (auto _ : state) {
     uint64_t sum = 0;
     for (uint64_t chunk = 0; chunk < kN / sa::kChunkElems; ++chunk) {
-      codec.unpack(words.data(), chunk, out);
+      unpack(words.data(), chunk, out);
       for (uint32_t i = 0; i < sa::kChunkElems; ++i) {
         sum += out[i];
       }

@@ -431,7 +431,7 @@ void WriteBenchJson(const char* path) {
     // same function pointer as one of the series above, so reuse that
     // series' number rather than manufacturing a noise gap between two
     // timings of identical code.
-    const char* selected_series = sa::smart::ToString(sa::smart::KernelsFor(bits).kind);
+    const char* selected_series = sa::smart::ToString(sa::smart::CodecFor(bits).kind);
     double selected_bps = 0.0;
     for (size_t i = 0; i < series.size(); ++i) {
       const std::string name = series[i].first;

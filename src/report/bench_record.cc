@@ -40,7 +40,7 @@ std::string Number(double value) {
 std::string KernelLetters(bool predicate) {
   std::string letters;
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    const smart::KernelOps& ops = smart::KernelsFor(bits);
+    const smart::CodecOps& ops = smart::CodecFor(bits);
     switch (predicate ? ops.predicate_kind : ops.kind) {
       case smart::KernelKind::kBlock:
         letters.push_back('B');

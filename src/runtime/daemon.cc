@@ -134,13 +134,9 @@ int AdaptationDaemon::RunOnce() {
 int AdaptationDaemon::ProcessShard(int shard) {
   SA_OBS_SCOPED_NS(kDaemonPassNs);
   SA_OBS_COUNT(kDaemonPasses);
-  // Admission control: restructures create retired versions; when the
-  // shard's reclamation is behind (a pinned reader, or simply too many
-  // rebuilds in flight), stop adding debt and let reclaim catch up.
-  const bool backpressure = registry_->shard_retired(shard) > kMaxRetiredDebt;
   int restructured = 0;
   for (ArraySlot* slot : registry_->DrainSampleQueue(shard)) {
-    restructured += ProcessSlot(*slot, backpressure) ? 1 : 0;
+    restructured += ProcessSlot(*slot) ? 1 : 0;
   }
   // Retired versions from this pass (and stragglers from earlier ones)
   // become reclaimable as reader pins drain; two passes advance the epoch
@@ -150,7 +146,7 @@ int AdaptationDaemon::ProcessShard(int shard) {
   return restructured;
 }
 
-bool AdaptationDaemon::ProcessSlot(ArraySlot& slot, bool backpressure) {
+bool AdaptationDaemon::ProcessSlot(ArraySlot& slot) {
   // A worker that stole this slot's shard can reach the slot while the
   // shard's owner is still draining it (the queue re-arms the slot before
   // the drain runs); the loser of the drain claim leaves the slot alone.
@@ -184,12 +180,6 @@ bool AdaptationDaemon::ProcessSlot(ArraySlot& slot, bool backpressure) {
            "slot=%s sample dropped (thin): accesses=%" PRIu64 " min=%" PRIu64
            " seconds=%.4f",
            slot.name().c_str(), accesses, options_.min_sampled_accesses, sample.seconds);
-    return false;
-  }
-  if (backpressure) {
-    SA_OBS_COUNT(kDaemonBackpressureDrops);
-    SA_LOG(kDebug, "daemon", "slot=%s sample dropped (backpressure: retired debt)",
-           slot.name().c_str());
     return false;
   }
   const adapt::WorkloadCounters counters =
@@ -250,6 +240,15 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
   // The shared pool's RunOnAll does not nest: one rebuild at a time across
   // every worker and direct caller.
   std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
+  // Admission control: restructures create retired versions; when the slot's
+  // shard is behind on reclamation (a pinned reader, or simply too many
+  // rebuilds in flight), stop adding debt and let reclaim catch up.
+  if (slot.epoch().retired_count() > kMaxRetiredDebt) {
+    SA_OBS_COUNT(kDaemonBackpressureDrops);
+    SA_LOG(kDebug, "daemon", "slot=%s sample dropped (backpressure: retired debt)",
+           slot.name().c_str());
+    return false;
+  }
   // Pin while reading the source: only this daemon publishes today, but the
   // pin keeps the rebuild correct even with other publishers around. The
   // pin lives in the slot's own shard domain.

@@ -22,9 +22,9 @@
 //     then steals any other shard whose owner is behind — idle workers
 //     absorb load imbalance without a handoff protocol.
 //   * Backpressure: when a shard's retired-version debt exceeds
-//     kMaxRetiredDebt, the pass drains samples and reclaims but skips
-//     restructures (kDaemonBackpressureDrops), so a stalled reader cannot
-//     make the daemon amplify memory pressure.
+//     kMaxRetiredDebt, passes still drain samples and reclaim, but no
+//     caller restructures a slot of that shard (kDaemonBackpressureDrops),
+//     so a stalled reader cannot make the daemon amplify memory pressure.
 #ifndef SA_RUNTIME_DAEMON_H_
 #define SA_RUNTIME_DAEMON_H_
 
@@ -42,8 +42,8 @@
 namespace sa::runtime {
 
 // Admission control: a shard whose epoch domain holds more retired versions
-// than this gets sample drains and reclamation but no new restructures
-// until the debt drains.
+// than this gets sample drains and reclamation but no new restructures,
+// from passes or AdaptSlot callers, until the debt drains.
 inline constexpr size_t kMaxRetiredDebt = 64;
 
 // Flap detector: an accepted decision that returns to the configuration
@@ -133,7 +133,7 @@ class AdaptationDaemon {
   void SweepShards(int worker, uint64_t now_ns, uint64_t interval_ns);
   // Drains one shard's sample queue, adapts eligible slots, reclaims.
   int ProcessShard(int shard);
-  bool ProcessSlot(ArraySlot& slot, bool backpressure);
+  bool ProcessSlot(ArraySlot& slot);
   // AdaptSlot with the caller's trace id (ProcessSlot threads the one it
   // stamped on the sample_drain event).
   bool AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCounters& counters,

@@ -99,13 +99,13 @@ int saSlotIsReplicated(const void* slot);
 uint64_t saSlotSequence(const void* slot);
 
 // Thread-safe element write into the current representation. Serializes
-// with other writers and with the daemon's publish; the value must fit the
-// current storage width.
+// with other writers and with the daemon's publish; the current
+// representation must admit the value (its width, or its chunk frame).
 void saSlotWrite(void* slot, uint64_t index, uint64_t value);
 
 // Read-modify-write under the slot's writer lock: returns the previous
 // value and stores (old + delta) wrapped at the slot's declared width.
-// Aborts when the wrapped result exceeds the live storage width.
+// Aborts when the current representation does not admit the result.
 uint64_t saSlotFetchAdd(void* slot, uint64_t index, uint64_t delta);
 
 // ---- Decision audit (explain) ----

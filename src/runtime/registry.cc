@@ -375,21 +375,15 @@ void ArraySlot::CommitWriteLocked(const ArrayVersion* version, uint64_t index,
 }
 
 void ArraySlot::Write(uint64_t index, uint64_t value) {
-  SA_CHECK(index < length_);
-  SA_OBS_COUNT(kSlotWrites);
-  std::lock_guard<std::mutex> lock(write_mu_);
-  // Holding write_mu_ keeps this version current (Publish takes the same
-  // mutex), so no epoch pin is needed here.
-  ArrayVersion* version = current_.load(std::memory_order_acquire);
-  SA_CHECK_MSG((value & ~version->storage->max_value()) == 0,
-               "write exceeds the slot's current storage width");
-  CommitWriteLocked(version, index, value);
-  EnqueueForSampling();
+  const bool written = TryWrite(index, value);
+  SA_CHECK_MSG(written, "write exceeds the slot's current storage width or chunk frame");
 }
 
 bool ArraySlot::TryWrite(uint64_t index, uint64_t value) {
   SA_CHECK(index < length_);
   std::lock_guard<std::mutex> lock(write_mu_);
+  // Holding write_mu_ keeps this version current (Publish takes the same
+  // mutex), so no epoch pin is needed here.
   ArrayVersion* version = current_.load(std::memory_order_acquire);
   if (!version->Admits(index, value)) {
     return false;
@@ -401,19 +395,9 @@ bool ArraySlot::TryWrite(uint64_t index, uint64_t value) {
 }
 
 uint64_t ArraySlot::FetchAdd(uint64_t index, uint64_t delta) {
-  SA_CHECK(index < length_);
-  SA_OBS_COUNT(kSlotFetchAdds);
-  std::lock_guard<std::mutex> lock(write_mu_);
-  ArrayVersion* version = current_.load(std::memory_order_acquire);
-  smart::SmartArray& storage = *version->storage;
-  const uint64_t old = storage.Get(index, storage.GetReplicaForCurrentThread());
-  // Wrap at the declared width, not the live storage width: the arithmetic
-  // contract must not depend on how far the daemon has narrowed storage.
-  const uint64_t next = (old + delta) & MaskForBits(declared_bits());
-  SA_CHECK_MSG((next & ~storage.max_value()) == 0,
-               "fetch-add exceeds the slot's current storage width");
-  CommitWriteLocked(version, index, next);
-  EnqueueForSampling();
+  uint64_t old = 0;
+  const bool written = TryFetchAdd(index, delta, &old);
+  SA_CHECK_MSG(written, "fetch-add exceeds the slot's current storage width or chunk frame");
   return old;
 }
 
@@ -423,6 +407,8 @@ bool ArraySlot::TryFetchAdd(uint64_t index, uint64_t delta, uint64_t* old_value)
   ArrayVersion* version = current_.load(std::memory_order_acquire);
   smart::SmartArray& storage = *version->storage;
   const uint64_t old = storage.Get(index, storage.GetReplicaForCurrentThread());
+  // Wrap at the declared width, not the live storage width: the arithmetic
+  // contract must not depend on how far the daemon has narrowed storage.
   const uint64_t next = (old + delta) & MaskForBits(declared_bits());
   if (!version->Admits(index, next)) {
     return false;

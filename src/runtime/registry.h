@@ -228,19 +228,20 @@ class ArraySlot {
 
   // Element write into the current representation (every replica). Writers
   // serialize on a per-slot mutex against each other and against
-  // publication; the value must fit the *data* width the slot was created
-  // with (a concurrent restructure may have narrowed the storage to the
-  // observed data width, so writes are checked against the live width).
+  // publication. TryWrite's admission rule decides; Write aborts where
+  // TryWrite refuses.
   void Write(uint64_t index, uint64_t value);
 
-  // Failable Write: false when the live storage cannot hold `value` — it
-  // exceeds the live width, or a kForDelta chunk's frame — the admissible
-  // outcome under open-loop traffic; Write aborts instead.
+  // Failable Write: false when the live representation cannot hold `value`
+  // (ArrayVersion::Admits): it exceeds the live width, or a kForDelta
+  // chunk's frame, or the dictionary, or the run's value — the admissible
+  // outcome under open-loop traffic. A concurrent restructure may have
+  // narrowed the storage to the observed data width.
   bool TryWrite(uint64_t index, uint64_t value);
 
   // Atomic-with-respect-to-writers read-modify-write: returns the old value
-  // and stores (old + delta) wrapped at declared_bits(). Aborts when the
-  // wrapped result does not fit the live storage width.
+  // and stores (old + delta) wrapped at declared_bits(). Aborts where
+  // TryFetchAdd refuses.
   uint64_t FetchAdd(uint64_t index, uint64_t delta);
 
   // Failable FetchAdd: stores nothing and returns false when the live

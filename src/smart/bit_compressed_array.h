@@ -10,8 +10,9 @@
 // which is the paper's "specialized sub-classes" (Fig. 9).
 //
 // The static *Impl functions are the codec itself, shared by the virtual
-// methods here, the typed iterators, and the C-ABI entry points (so foreign
-// callers run the exact same logic without virtual dispatch).
+// methods here, the typed iterators, and, through the per-width table
+// CodecFor (kernel_table.h), the C-ABI entry points and the encodings (so
+// foreign callers run the exact same logic without virtual dispatch).
 #ifndef SA_SMART_BIT_COMPRESSED_ARRAY_H_
 #define SA_SMART_BIT_COMPRESSED_ARRAY_H_
 
@@ -145,6 +146,10 @@ class BitCompressedArray final : public SmartArray {
   }
 
   // ---- Function 3: unpack(chunk, replica, out) ----
+  //
+  // The paper's loop form, kept as the reference that tests and
+  // micro_ablation time; decoding callers use CodecFor(BITS).unpack, the
+  // chunk decoder of the measured kernel kind.
   static void UnpackImpl(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
     if constexpr (BITS == 64) {
       const uint64_t* src = replica + chunk * kChunkElems;
@@ -257,9 +262,8 @@ class BitCompressedArray final : public SmartArray {
   // aggregate a packed chunk straight from its BITS words — no materialized
   // out[64] buffer, no per-element buffered-chunk branch, no div/mod — and
   // are the layer ParallelSum/ParallelSum2, the graph property scans, and
-  // the saArraySumRange entry point all sit on. SumRange/Sum2Range dispatch
-  // once per call to the kernel kind the measured table bound for this
-  // width (smart/kernel_table.h).
+  // the saArraySumRange entry point all sit on, through the range walkers
+  // CodecFor(BITS) binds (smart/kernel_table.h).
 
   // Sum of the 64 elements of `chunk`. Widths with native layouts collapse
   // to popcount (1) or native-integer loops (8/16/32/64); the generic path
@@ -391,7 +395,7 @@ class BitCompressedArray final : public SmartArray {
   // A kind is one set of whole-chunk loops over chunks [first, first + n)
   // plus a chunk decoder; the range walkers below are written once over a
   // kind, so every kind shares the ragged head/tail logic. Ops(kind) is the
-  // kernel table's candidate set for one kind at this width.
+  // codec table's candidate entry for one kind at this width.
 
 #if defined(SA_HAVE_AVX2_KERNELS)
   static constexpr bool kHasV2 = avx2::HasV2Width(BITS);
@@ -404,11 +408,11 @@ class BitCompressedArray final : public SmartArray {
   static constexpr bool kHasAvx512 = false;
 #endif
 
-  // The kernel set of `kind` at this width, or the block set where the kind
-  // has no kernels here: the kernel table's candidates. Callers outside it
+  // The entry of `kind` at this width, or the block entry where the kind
+  // has no kernels here: the codec table's candidates. Callers outside it
   // use CandidateKernels (kernel_table.h), which also knows whether the host
   // can run the kind.
-  static KernelOps Ops(KernelKind kind) {
+  static CodecOps Ops(KernelKind kind) {
 #if defined(SA_HAVE_AVX2_KERNELS)
     if constexpr (kHasV2) {
       if (kind == KernelKind::kAvx2V2) {
@@ -427,50 +431,13 @@ class BitCompressedArray final : public SmartArray {
     return OpsOf<BlockKernels>(KernelKind::kBlock);
   }
 
-  // ---- Dispatching kernels (what callers should use) ----
-  //
-  // One load of the measured per-width table + an indirect call; the table
-  // guarantees the bound kernel beat (or is) the scalar block kernel.
-  static uint64_t SumRange(const uint64_t* replica, uint64_t begin, uint64_t end) {
-    return KernelsFor(BITS).sum_range(replica, begin, end);
-  }
-
-  static uint64_t Sum2Range(const uint64_t* r1, const uint64_t* r2, uint64_t begin,
-                            uint64_t end) {
-    return KernelsFor(BITS).sum2_range(r1, r2, begin, end);
-  }
-
-  // Decodes one whole chunk into out[0..63] through the selected kernel.
-  static void UnpackChunk(const uint64_t* replica, uint64_t chunk, uint64_t* out) {
-    KernelsFor(BITS).unpack_chunk(replica, chunk, out);
-  }
-
-  // Pushdown scans over [begin, end) through the selected predicate walker.
-  // SelectIfRange emits the match bit of element begin+i at bitmap bit
-  // `bit_offset + i` and returns the match count; it only ORs bits in —
-  // callers zero the buffer, which is what lets chunk-aligned parallel
-  // grains share one bitmap.
-  static uint64_t CountIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                               ScanPredicate p) {
-    return KernelsFor(BITS).count_if_range(replica, begin, end, p);
-  }
-
-  static uint64_t SelectIfRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                                ScanPredicate p, uint64_t* bitmap, uint64_t bit_offset) {
-    return KernelsFor(BITS).select_if_range(replica, begin, end, p, bitmap, bit_offset);
-  }
-
-  static uint64_t FilteredSumRange(const uint64_t* replica, uint64_t begin, uint64_t end,
-                                   ScanPredicate p) {
-    return KernelsFor(BITS).filtered_sum_range(replica, begin, end, p);
-  }
-
   // ---- Chunk-streaming decode seam (UnpackRange / PackRange) ----
   //
   // The single bulk decode/encode path: whole chunks stream through the
-  // selected chunk kernel, ragged head/tail elements through the scalar
-  // codec. ForEachRangeImpl, the graph property scans, Restructure, and the
-  // saArrayUnpackRange/saArrayPackRange entry points all sit on these two.
+  // selected chunk decoder (CodecFor(BITS).unpack), ragged head/tail
+  // elements through the scalar codec. ForEachRangeImpl, the graph property
+  // scans, Restructure, and the saArrayUnpackRange/saArrayPackRange entry
+  // points all sit on these two.
 
   // Decodes elements [begin, end) into out[0 .. end-begin).
   static void UnpackRange(const uint64_t* replica, uint64_t begin, uint64_t end,
@@ -478,14 +445,14 @@ class BitCompressedArray final : public SmartArray {
     SA_DCHECK(begin <= end);
     SA_OBS_COUNT(kUnpackRangeCalls);
     SA_OBS_COUNT_N(kUnpackRangeBytes, (end - begin) * sizeof(uint64_t));
-    const auto unpack_chunk = KernelsFor(BITS).unpack_chunk;
+    const auto unpack = CodecFor(BITS).unpack;
     uint64_t i = begin;
     const uint64_t head_end = std::min(end, AlignUp(begin, kChunkElems));
     for (; i < head_end; ++i) {
       *out++ = GetImpl(replica, i);
     }
     for (; i + kChunkElems <= end; i += kChunkElems, out += kChunkElems) {
-      unpack_chunk(replica, i / kChunkElems, out);
+      unpack(replica, i / kChunkElems, out);
     }
     for (; i < end; ++i) {
       *out++ = GetImpl(replica, i);
@@ -517,9 +484,9 @@ class BitCompressedArray final : public SmartArray {
   }
 
   // Applies fn(value, index) over [begin, end): whole chunks decode through
-  // the branch-free unrolled codec, ragged head/tail elements through
-  // GetImpl. The static counterpart of smart/map_api.h's MapRange, for
-  // callers that already hold a compile-time width.
+  // the selected chunk decoder, ragged head/tail elements through GetImpl.
+  // The static counterpart of smart/map_api.h's MapRange, for callers that
+  // already hold a compile-time width.
   template <typename Fn>
   static void ForEachRangeImpl(const uint64_t* replica, uint64_t begin, uint64_t end, Fn&& fn) {
     SA_DCHECK(begin <= end);
@@ -529,9 +496,9 @@ class BitCompressedArray final : public SmartArray {
       fn(GetImpl(replica, i), i);
     }
     uint64_t buffer[kChunkElems];
-    const auto unpack_chunk = KernelsFor(BITS).unpack_chunk;
+    const auto unpack = CodecFor(BITS).unpack;
     for (; i + kChunkElems <= end; i += kChunkElems) {
-      unpack_chunk(replica, i / kChunkElems, buffer);
+      unpack(replica, i / kChunkElems, buffer);
       for (uint32_t j = 0; j < kChunkElems; ++j) {
         fn(buffer[j], i + j);
       }
@@ -571,7 +538,7 @@ class BitCompressedArray final : public SmartArray {
 
   void Unpack(uint64_t chunk, const uint64_t* replica, uint64_t* out) const override {
     SA_DCHECK(chunk < num_chunks());
-    UnpackChunk(replica, chunk, out);
+    CodecFor(BITS).unpack(replica, chunk, out);
   }
 
  private:
@@ -646,9 +613,20 @@ class BitCompressedArray final : public SmartArray {
 #endif
 
   template <typename K>
-  static KernelOps OpsOf(KernelKind kind) {
-    return {&SumRangeWith<K>,  &Sum2RangeWith<K>,  &K::Unpack, &CountIfWith<K>,
-            &SelectIfWith<K>, &FilteredSumWith<K>, kind,       kind};
+  static CodecOps OpsOf(KernelKind kind) {
+    return {.get = &GetImpl,
+            .init = &InitImpl,
+            .init_atomic = &InitAtomicImpl,
+            .unpack_range = &UnpackRange,
+            .pack_range = &PackRange,
+            .sum_range = &SumRangeWith<K>,
+            .sum2_range = &Sum2RangeWith<K>,
+            .unpack = &K::Unpack,
+            .count_if_range = &CountIfWith<K>,
+            .select_if_range = &SelectIfWith<K>,
+            .filtered_sum_range = &FilteredSumWith<K>,
+            .kind = kind,
+            .predicate_kind = kind};
   }
 
   // Splits [begin, end) into a ragged head, a run of whole chunks and a
@@ -704,7 +682,7 @@ class BitCompressedArray final : public SmartArray {
 
   // ---- Predicate range walkers ----
   //
-  // Bound once per range by the kernel table (KernelOps::count_if_range and
+  // Bound once per range by the codec table (CodecOps::count_if_range and
   // friends), so a scan pays one indirect call per range rather than one per
   // chunk: at AVX-512 speed that call would cost more than the decode.
   // Ragged edges slice K's full-chunk mask; trivial predicates (kNone/kAll

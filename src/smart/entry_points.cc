@@ -234,10 +234,9 @@ void saArrayMapRange(const void* sa, uint64_t begin, uint64_t end, saMapCallback
 uint64_t saArraySumRange(const void* sa, uint64_t begin, uint64_t end) {
   const SmartArray* a = Array(sa);
   SA_CHECK(begin <= end && end <= a->length());
-  // Straight to the chunk-granular block kernels (AVX2 when the host has
-  // it) via the encoding-polymorphic seam: foreign callers aggregate at the
-  // same speed as native ParallelSum batches, with no per-chunk callback
-  // round trips.
+  // Straight to the measured range walker (CodecFor) via the
+  // encoding-polymorphic seam: foreign callers aggregate at the same speed
+  // as native ParallelSum batches, with no per-chunk callback round trips.
   return a->RangeSum(a->GetReplicaForCurrentThread(), begin, end);
 }
 

@@ -1,8 +1,12 @@
-// Measured per-width kernel selection (see kernel_table.h for the policy).
+// The per-width codec table and its measured kernel selection (see
+// kernel_table.h for the policy).
 //
 // All 64 widths calibrate against the same packed pseudo-random buffer:
 // any bit pattern is a valid packed chunk, so one fill serves every width
-// and the whole build costs a few milliseconds, once per process.
+// and the whole build runs once per process (about 40 ms on a 4-core Xeon
+// VM). The build races the candidate entries directly: CodecFor's magic
+// static is what it initializes, so reaching CodecFor from here would
+// recurse.
 
 #include "smart/kernel_table.h"
 
@@ -44,10 +48,10 @@ std::optional<KernelKind> ForcedKindFromEnv() {
   return std::nullopt;
 }
 
-// Every kind's kernel set for one width, indexed by KernelKind, and whether
-// this host can run it.
+// Every kind's entry for one width, indexed by KernelKind, and whether this
+// host can run it.
 struct Candidates {
-  KernelOps ops[kNumKinds];
+  CodecOps ops[kNumKinds];
   bool runnable[kNumKinds] = {};
 };
 
@@ -80,10 +84,10 @@ constexpr uint64_t kCalibElems = kCalibChunks * kChunkElems;
 // noise within a tie) keeps the incumbent. Results feed `sink` so the calls
 // cannot be optimized away.
 template <typename Run>
-bool ChallengerWins(const KernelOps& incumbent, const KernelOps& challenger, const Run& run,
+bool ChallengerWins(const CodecOps& incumbent, const CodecOps& challenger, const Run& run,
                     uint64_t* sink) {
   using Clock = std::chrono::steady_clock;
-  const KernelOps* sides[2] = {&incumbent, &challenger};
+  const CodecOps* sides[2] = {&incumbent, &challenger};
   uint64_t best_ns[2] = {UINT64_MAX, UINT64_MAX};
   for (int rep = -1; rep < 5; ++rep) {
     for (int side = 0; side < 2; ++side) {
@@ -100,7 +104,7 @@ bool ChallengerWins(const KernelOps& incumbent, const KernelOps& challenger, con
 }
 
 struct Table {
-  KernelOps ops[65];         // the selection per width
+  CodecOps ops[65];           // the selection per width
   Candidates candidates[65];  // every kind per width
 };
 
@@ -129,7 +133,7 @@ Table BuildTable() {
   }
   volatile uint64_t sink = 0;
   uint64_t local_sink = 0;
-  const auto run_sum = [&](const KernelOps& k) { return k.sum_range(words.data(), 0, kCalibElems); };
+  const auto run_sum = [&](const CodecOps& k) { return k.sum_range(words.data(), 0, kCalibElems); };
 
   for (uint32_t bits = 1; bits <= 64; ++bits) {
     // The predicate family races its range walker, because that is what
@@ -139,17 +143,17 @@ Table BuildTable() {
     // against branch-predictor artifacts in the scalar loop.
     const ScanPredicate mid{ScanPredicate::Kind::kLt, std::max<uint64_t>(1, LowMask(bits) >> 1),
                             false};
-    const auto run_pred = [&](const KernelOps& k) {
+    const auto run_pred = [&](const CodecOps& k) {
       return k.count_if_range(words.data(), 0, kCalibElems, mid);
     };
-    KernelOps sum = cand[bits].ops[kBlockIdx];
-    KernelOps pred = sum;
+    CodecOps sum = cand[bits].ops[kBlockIdx];
+    CodecOps pred = sum;
     for (const KernelKind kind : {KernelKind::kAvx2V2, KernelKind::kAvx512}) {
       const auto k = static_cast<size_t>(kind);
       if (!cand[bits].runnable[k] || (forced.has_value() && *forced < kind)) {
         continue;
       }
-      const KernelOps& challenger = cand[bits].ops[k];
+      const CodecOps& challenger = cand[bits].ops[k];
       if (forced == kind) {
         sum = pred = challenger;
         continue;
@@ -215,13 +219,9 @@ const Table& CalibratedTable() {
 
 }  // namespace
 
-const KernelOps& KernelsFor(uint32_t bits) {
-  static const Table& table = CalibratedTable();
-  SA_DCHECK(bits >= 1 && bits <= 64);
-  return table.ops[bits];
-}
+const CodecOps* internal::CalibratedCodecs() { return CalibratedTable().ops; }
 
-const KernelOps* CandidateKernels(uint32_t bits, KernelKind kind) {
+const CodecOps* CandidateKernels(uint32_t bits, KernelKind kind) {
   SA_CHECK_MSG(bits >= 1 && bits <= 64, "bit width must be 1..64");
   const Candidates& c = CalibratedTable().candidates[bits];
   const auto k = static_cast<size_t>(kind);

@@ -3,7 +3,7 @@
 // These are the helpers the paper's workloads use: parallel initialization
 // (whose batches are chunk-aligned so writers never share a 64-bit word and
 // no synchronization is needed) and parallel aggregations through the
-// chunk-granular block kernels of bit_compressed_array.h.
+// chunk-granular range walkers of the codec table (kernel_table.h).
 #ifndef SA_SMART_PARALLEL_OPS_H_
 #define SA_SMART_PARALLEL_OPS_H_
 
@@ -59,37 +59,33 @@ void ParallelFill(rts::WorkerPool& pool, SmartArray& array, const Generator& gen
   });
 }
 
-// Parallel sum of all elements (the paper's aggregation kernel, Function 4),
-// scanning each worker's socket-local replica through the chunk-granular
-// block kernels: whole chunks aggregate straight from the packed words with
-// no decode buffer, and the AVX2 path kicks in when the host supports it.
+// Parallel sum of all elements (the paper's aggregation kernel, Function 4):
+// each grain sums the worker's socket-local replica through the array's
+// RangeSum, which for the bit-packed encoding is the measured range walker
+// CodecFor(bits) binds (whole chunks aggregate straight from the packed
+// words, no decode buffer) and which every other encoding overrides.
 inline uint64_t ParallelSum(rts::WorkerPool& pool, const SmartArray& array,
                             uint64_t grain = rts::kDefaultGrain) {
-  return WithBits(array.bits(), [&](auto bits_const) -> uint64_t {
-    constexpr uint32_t kBits = bits_const();
-    return rts::ParallelReduce<uint64_t>(
-        pool, 0, array.length(), grain, [&](int worker, uint64_t begin, uint64_t end) {
-          return BitCompressedArray<kBits>::SumRange(
-              array.GetReplica(pool.worker_socket(worker)), begin, end);
-        });
-  });
+  return rts::ParallelReduce<uint64_t>(
+      pool, 0, array.length(), grain, [&](int worker, uint64_t begin, uint64_t end) {
+        return array.RangeSum(array.GetReplica(pool.worker_socket(worker)), begin, end);
+      });
 }
 
-// Parallel element-wise sum of two arrays: sum += a1[i] + a2[i] (§5.1),
-// through the fused two-array chunk kernel.
+// Parallel element-wise sum of two bit-packed arrays: sum += a1[i] + a2[i]
+// (§5.1), through the fused two-array range walker.
 inline uint64_t ParallelSum2(rts::WorkerPool& pool, const SmartArray& a1, const SmartArray& a2,
                              uint64_t grain = rts::kDefaultGrain) {
   SA_CHECK(a1.length() == a2.length());
   SA_CHECK_MSG(a1.bits() == a2.bits(), "aggregation arrays share a width in the benchmark");
-  return WithBits(a1.bits(), [&](auto bits_const) -> uint64_t {
-    constexpr uint32_t kBits = bits_const();
-    return rts::ParallelReduce<uint64_t>(
-        pool, 0, a1.length(), grain, [&](int worker, uint64_t begin, uint64_t end) {
-          const int socket = pool.worker_socket(worker);
-          return BitCompressedArray<kBits>::Sum2Range(a1.GetReplica(socket),
-                                                      a2.GetReplica(socket), begin, end);
-        });
-  });
+  SA_CHECK_MSG(a1.encoding() == Encoding::kBitPacked && a2.encoding() == Encoding::kBitPacked,
+               "the fused aggregation reads bit-packed arrays");
+  const CodecOps& codec = CodecFor(a1.bits());
+  return rts::ParallelReduce<uint64_t>(
+      pool, 0, a1.length(), grain, [&](int worker, uint64_t begin, uint64_t end) {
+        const int socket = pool.worker_socket(worker);
+        return codec.sum2_range(a1.GetReplica(socket), a2.GetReplica(socket), begin, end);
+      });
 }
 
 // Packs in[0 .. end-begin) into elements [begin, end) of every bit-packed

@@ -111,6 +111,31 @@ TEST_F(AdaptationDaemonTest, HysteresisMarginBlocksMarginalWins) {
   EXPECT_EQ(slot->sequence(), 1u);
 }
 
+// Every caller of the restructure path honours the retired-debt bound, not
+// only the background passes.
+using DaemonTest = AdaptationDaemonTest;
+
+TEST_F(DaemonTest, AdaptSlotStopsAtRetiredDebtBound) {
+  ArraySlot* slot = MakeReadOnlySlot("debt.direct", 4096);
+  // Every call flips the configuration: any change clears the margin, and
+  // without the audit there is no flap hold.
+  DaemonOptions options;
+  options.min_predicted_win = -1.0;
+  options.audit = false;
+  AdaptationDaemon daemon = MakeDaemon(options);
+  adapt::WorkloadCounters cpu_bound = MemBoundStreamingCounters(machine_);
+  cpu_bound.max_mem_utilization = 0.2;
+  cpu_bound.max_ic_utilization = 0.2;
+  // One parked reader: no retired version can be reclaimed.
+  ArraySnapshot parked = slot->TryAcquire();
+  ASSERT_TRUE(parked.valid());
+  for (int call = 0; call < 200; ++call) {
+    daemon.AdaptSlot(*slot, call % 2 == 0 ? MemBoundStreamingCounters(machine_) : cpu_bound);
+  }
+  EXPECT_GE(slot->epoch().retired_count(), kMaxRetiredDebt);
+  EXPECT_LE(slot->epoch().retired_count(), kMaxRetiredDebt + 1);
+}
+
 // An adaptive array is one registry slot that its owner adapts with
 // AdaptSlot on a profile it measured itself (examples/compression_lab.cpp
 // §4): the slot keeps the array's identity across rebuilds.

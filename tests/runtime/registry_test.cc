@@ -30,6 +30,27 @@ class ArrayRegistryTest : public ::testing::Test {
     return storage;
   }
 
+  // A 40-bit slot holding kFramesBase + i % 64 (oracle[i]) at n indices,
+  // sealed and published under `encoding`.
+  static constexpr uint64_t kFramesBase = uint64_t{1} << 39;
+  ArraySlot* FramedSlot(smart::Encoding encoding, uint64_t n, std::vector<uint64_t>* oracle) {
+    ArraySlot* slot = registry_.Create(std::string("frames.") + smart::ToString(encoding), n,
+                                       smart::PlacementSpec::Interleaved(), 40);
+    oracle->resize(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      (*oracle)[i] = kFramesBase + i % sa::kChunkElems;
+      slot->Write(i, (*oracle)[i]);
+    }
+    slot->SealWrites();
+    ArraySnapshot snap = slot->Acquire();
+    auto version =
+        smart::TryEncode(snap.array(), encoding, smart::PlacementSpec::Interleaved(), 0, topo_);
+    EXPECT_NE(version, nullptr);
+    snap.Release();
+    EXPECT_TRUE(registry_.Publish(*slot, std::move(version), slot->write_count()));
+    return slot;
+  }
+
   platform::Topology topo_;
   ArrayRegistry registry_;
 };
@@ -325,26 +346,12 @@ TEST_F(ArrayRegistryTest, ForDeltaVersionServesReadsWritesAndScans) {
 // checked Write and FetchAdd still abort); admitted values still land.
 TEST_F(ArrayRegistryTest, TryWritesRefuseValuesOutsideForDeltaFrames) {
   const uint64_t n = 1024;
-  const uint64_t base = uint64_t{1} << 39;
+  const uint64_t base = kFramesBase;
   for (const smart::Encoding encoding :
        {smart::Encoding::kForDelta, smart::Encoding::kDictionary, smart::Encoding::kRunLength}) {
     SCOPED_TRACE(smart::ToString(encoding));
-    ArraySlot* slot = registry_.Create(std::string("frames.") + smart::ToString(encoding), n,
-                                       smart::PlacementSpec::Interleaved(), 40);
-    std::vector<uint64_t> oracle(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      oracle[i] = base + i % sa::kChunkElems;
-      slot->Write(i, oracle[i]);
-    }
-    slot->SealWrites();
-    {
-      ArraySnapshot snap = slot->Acquire();
-      auto version = smart::TryEncode(snap.array(), encoding,
-                                      smart::PlacementSpec::Interleaved(), 0, topo_);
-      ASSERT_NE(version, nullptr);
-      snap.Release();
-      ASSERT_TRUE(registry_.Publish(*slot, std::move(version), slot->write_count()));
-    }
+    std::vector<uint64_t> oracle;
+    ArraySlot* slot = FramedSlot(encoding, n, &oracle);
     {
       ArraySnapshot snap = slot->Acquire();
       ASSERT_EQ(snap.array().encoding(), encoding);
@@ -374,6 +381,21 @@ TEST_F(ArrayRegistryTest, TryWritesRefuseValuesOutsideForDeltaFrames) {
     ASSERT_TRUE(slot->TryFetchAdd(5, step, &old));
     EXPECT_EQ(old, admitted);
     EXPECT_EQ(slot->Acquire().Get(5), admitted + step);
+  }
+}
+
+// The checked forms abort on the slot's own admission rule, the one the
+// Try forms apply, before the encoding's Init is reached.
+TEST_F(ArrayRegistryTest, CheckedWritesOutsideForDeltaFramesAbortAtTheSlot) {
+  for (const smart::Encoding encoding :
+       {smart::Encoding::kForDelta, smart::Encoding::kDictionary, smart::Encoding::kRunLength}) {
+    SCOPED_TRACE(smart::ToString(encoding));
+    std::vector<uint64_t> oracle;
+    ArraySlot* slot = FramedSlot(encoding, 1024, &oracle);
+    EXPECT_DEATH(slot->Write(5, 7),
+                 "write exceeds the slot's current storage width or chunk frame");
+    EXPECT_DEATH(slot->FetchAdd(5, uint64_t{1} << 38),
+                 "fetch-add exceeds the slot's current storage width or chunk frame");
   }
 }
 

@@ -63,7 +63,7 @@ TEST_P(ChunkKernelTest, SumRangeMatchesIteratorAllLengths) {
       const uint64_t* replica = array->GetReplica(0);
       EXPECT_EQ(Codec::SumRangeImpl(replica, 0, n), IteratorSum(*array, 0, n))
           << "bits=" << kBits << " n=" << n;
-      EXPECT_EQ(Codec::SumRange(replica, 0, n), Codec::SumRangeImpl(replica, 0, n))
+      EXPECT_EQ(CodecFor(kBits).sum_range(replica, 0, n), Codec::SumRangeImpl(replica, 0, n))
           << "dispatching kernel disagrees with scalar, bits=" << kBits << " n=" << n;
       return 0;
     });
@@ -91,7 +91,7 @@ TEST_P(ChunkKernelTest, SumRangeMatchesIteratorOnSubRanges) {
       }
       EXPECT_EQ(Codec::SumRangeImpl(replica, begin, end), want)
           << "bits=" << kBits << " range=[" << begin << "," << end << ")";
-      EXPECT_EQ(Codec::SumRange(replica, begin, end), want)
+      EXPECT_EQ(CodecFor(kBits).sum_range(replica, begin, end), want)
           << "bits=" << kBits << " range=[" << begin << "," << end << ")";
     }
     return 0;
@@ -151,7 +151,7 @@ TEST_P(ChunkKernelTest, Sum2RangeMatchesPerElementSum) {
       }
       EXPECT_EQ(Codec::Sum2RangeImpl(r1, r2, begin, end), want)
           << "bits=" << kBits << " range=[" << begin << "," << end << ")";
-      EXPECT_EQ(Codec::Sum2Range(r1, r2, begin, end), want)
+      EXPECT_EQ(CodecFor(kBits).sum2_range(r1, r2, begin, end), want)
           << "bits=" << kBits << " range=[" << begin << "," << end << ")";
     }
     return 0;
@@ -162,12 +162,12 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
   // Gates on *candidacy* (the width has a v2 network and the host can run
   // AVX2), not on the measured selection: the v2 kernels must be correct
   // even at widths where the table kept the block kernel.
-  const KernelOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
+  const CodecOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
   if (v2_kernels == nullptr) {
     GTEST_SKIP() << "no v2 kernel for bits=" << GetParam()
                  << " (native-width special case, no host support, or SA_DISABLE_AVX2)";
   }
-  const KernelOps& v2 = *v2_kernels;
+  const CodecOps& v2 = *v2_kernels;
   WithBits(GetParam(), [&](auto bits_const) {
     constexpr uint32_t kBits = bits_const();
     using Codec = BitCompressedArray<kBits>;
@@ -190,7 +190,7 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
       uint64_t got[kChunkElems];
       uint64_t want[kChunkElems];
       for (uint64_t chunk = 0; chunk < n / kChunkElems; ++chunk) {
-        v2.unpack_chunk(replica, chunk, got);
+        v2.unpack(replica, chunk, got);
         Codec::UnpackUnrolledImpl(replica, chunk, want);
         for (uint32_t j = 0; j < kChunkElems; ++j) {
           EXPECT_EQ(got[j], want[j]) << "bits=" << kBits << " chunk=" << chunk << " j=" << j;

@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "smart/parallel_ops.h"
+#include "smart/restructure.h"
 
 namespace sa::smart {
 namespace {
@@ -66,6 +67,32 @@ TEST_P(ParallelOpsTest, ParallelSumMatchesSerialSum) {
   }
   ParallelFill(pool_, *array, [&values](uint64_t i) { return values[i]; });
   EXPECT_EQ(ParallelSum(pool_, *array), want);
+}
+
+// Runs of a few distinct values near the top of the width: every encoding
+// stores them in its own layout (frames, codes, runs), which a sum of the
+// raw words at bits() would misread.
+TEST_P(ParallelOpsTest, ParallelSumMatchesEveryEncoding) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // the pool's threads
+  const uint64_t n = 50'000;
+  const uint64_t mask = LowMask(GetParam().bits);
+  std::vector<uint64_t> values(n);
+  uint64_t want = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    values[i] = mask - (i / 100 % 5) * (mask / 7);
+    want += values[i];
+  }
+  for (const Encoding encoding : {Encoding::kBitPacked, Encoding::kForDelta,
+                                  Encoding::kDictionary, Encoding::kRunLength}) {
+    SCOPED_TRACE(ToString(encoding));
+    auto array = Encode(values, encoding, Spec(), topo_);
+    ASSERT_EQ(array->encoding(), encoding);
+    EXPECT_EQ(ParallelSum(pool_, *array), want);
+    EXPECT_EQ(ParallelSum(pool_, *array, 1000), want);  // ragged grains
+    if (encoding != Encoding::kBitPacked) {
+      EXPECT_DEATH(ParallelSum2(pool_, *array, *array), "bit-packed");
+    }
+  }
 }
 
 TEST_P(ParallelOpsTest, ParallelSum2MatchesPaperKernel) {

@@ -164,9 +164,9 @@ TEST_P(PredicateScanTest, BlockAndV2ChunkKernelsAgree) {
   std::vector<uint64_t> oracle;
   auto array = Fill(n, 7, &oracle);
   const uint64_t* replica = array->GetReplica(0);
-  const KernelOps& block = *CandidateKernels(GetParam(), KernelKind::kBlock);
-  const KernelOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
-  const KernelOps& v2 = v2_kernels != nullptr ? *v2_kernels : block;
+  const CodecOps& block = *CandidateKernels(GetParam(), KernelKind::kBlock);
+  const CodecOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
+  const CodecOps& v2 = v2_kernels != nullptr ? *v2_kernels : block;
   const uint64_t max = LowMask(GetParam());
   for (uint64_t chunk = 0; chunk < n / kChunkElems; ++chunk) {
     const uint64_t lo = chunk * kChunkElems;

@@ -66,13 +66,13 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
   // skips when the kind cannot run at this width on this host.
   void ExpectMatchesBlock(KernelKind kind) {
     const uint32_t bits = GetParam();
-    const KernelOps* candidate = CandidateKernels(bits, kind);
+    const CodecOps* candidate = CandidateKernels(bits, kind);
     if (candidate == nullptr) {
       GTEST_SKIP() << "no " << ToString(kind) << " kernel for bits=" << bits
                    << " (width outside the kind, no host support, or SA_DISABLE_AVX2)";
     }
-    const KernelOps& got = *candidate;
-    const KernelOps& want = *CandidateKernels(bits, KernelKind::kBlock);
+    const CodecOps& got = *candidate;
+    const CodecOps& want = *CandidateKernels(bits, KernelKind::kBlock);
     ASSERT_EQ(got.kind, kind);
     ASSERT_EQ(want.kind, KernelKind::kBlock);
     const std::vector<std::vector<uint64_t>> buffers = TestBuffers(bits);
@@ -91,7 +91,7 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
 
  private:
   // Sum, sum2 and unpack, one chunk at a time, then over ragged ranges.
-  static void ExpectChunksMatch(const KernelOps& got, const KernelOps& want, const uint64_t* w,
+  static void ExpectChunksMatch(const CodecOps& got, const CodecOps& want, const uint64_t* w,
                                 const uint64_t* w2) {
     for (uint64_t chunk = 0; chunk < kChunks; ++chunk) {
       const uint64_t lo = chunk * kChunkElems;
@@ -101,8 +101,8 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
           << "chunk=" << chunk;
       uint64_t got_out[kChunkElems];
       uint64_t want_out[kChunkElems];
-      got.unpack_chunk(w, chunk, got_out);
-      want.unpack_chunk(w, chunk, want_out);
+      got.unpack(w, chunk, got_out);
+      want.unpack(w, chunk, want_out);
       for (uint32_t j = 0; j < kChunkElems; ++j) {
         ASSERT_EQ(got_out[j], want_out[j]) << "chunk=" << chunk << " j=" << j;
       }
@@ -116,7 +116,7 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
   }
 
   // The match mask (a one-chunk select) and filtered sum of every chunk.
-  static void ExpectPredicateChunksMatch(const KernelOps& got, const KernelOps& want,
+  static void ExpectPredicateChunksMatch(const CodecOps& got, const CodecOps& want,
                                          const uint64_t* w, ScanPredicate p) {
     for (uint64_t chunk = 0; chunk < kChunks; ++chunk) {
       const uint64_t lo = chunk * kChunkElems;
@@ -134,7 +134,7 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
 
   // CountIf, SelectIf (at unaligned bitmap offsets) and FilteredSum over
   // ragged ranges.
-  static void ExpectWalkersMatch(const KernelOps& got, const KernelOps& want, const uint64_t* w,
+  static void ExpectWalkersMatch(const CodecOps& got, const CodecOps& want, const uint64_t* w,
                                  ScanPredicate p) {
     for (const auto& [begin, end] : kRanges) {
       SCOPED_TRACE("range=[" + std::to_string(begin) + "," + std::to_string(end) + ")");
@@ -170,9 +170,28 @@ bool KindRunnable(uint32_t bits, KernelKind kind) {
 
 TEST(KernelTableTest, BindsOnlyKindsTheHostCanRun) {
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    const KernelOps& ops = KernelsFor(bits);
+    const CodecOps& ops = CodecFor(bits);
     EXPECT_TRUE(KindRunnable(bits, ops.kind)) << "bits=" << bits;
     EXPECT_TRUE(KindRunnable(bits, ops.predicate_kind)) << "bits=" << bits;
+  }
+}
+
+// CodecFor is the one per-width table: its range walkers and chunk decoder
+// are the candidate entries of the kinds it records as bound.
+TEST(KernelTableTest, CodecTableBindsTheSelectedKernels) {
+  for (uint32_t bits = 1; bits <= 64; ++bits) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    const CodecOps& ops = CodecFor(bits);
+    const CodecOps* sum = CandidateKernels(bits, ops.kind);
+    const CodecOps* predicate = CandidateKernels(bits, ops.predicate_kind);
+    ASSERT_NE(sum, nullptr);
+    ASSERT_NE(predicate, nullptr);
+    EXPECT_EQ(ops.sum_range, sum->sum_range);
+    EXPECT_EQ(ops.sum2_range, sum->sum2_range);
+    EXPECT_EQ(ops.unpack, sum->unpack);
+    EXPECT_EQ(ops.count_if_range, predicate->count_if_range);
+    EXPECT_EQ(ops.select_if_range, predicate->select_if_range);
+    EXPECT_EQ(ops.filtered_sum_range, predicate->filtered_sum_range);
   }
 }
 
@@ -186,8 +205,8 @@ TEST(KernelTableTest, DisableAvx2BindsBlockEverywhere) {
   EXPECT_FALSE(HostCpuFeatures().avx2);
   EXPECT_FALSE(HostCpuFeatures().avx512);
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    EXPECT_EQ(KernelsFor(bits).kind, KernelKind::kBlock) << "bits=" << bits;
-    EXPECT_EQ(KernelsFor(bits).predicate_kind, KernelKind::kBlock) << "bits=" << bits;
+    EXPECT_EQ(CodecFor(bits).kind, KernelKind::kBlock) << "bits=" << bits;
+    EXPECT_EQ(CodecFor(bits).predicate_kind, KernelKind::kBlock) << "bits=" << bits;
   }
 }
 
@@ -206,7 +225,7 @@ TEST(KernelTableTest, ForcedKindBindsEveryRunnableWidth) {
     GTEST_SKIP() << "runs only under SA_FORCE_KERNEL=block|avx2|avx512";
   }
   for (uint32_t bits = 1; bits <= 64; ++bits) {
-    const KernelOps& ops = KernelsFor(bits);
+    const CodecOps& ops = CodecFor(bits);
     for (const KernelKind selected : {ops.kind, ops.predicate_kind}) {
       EXPECT_LE(selected, forced) << "bits=" << bits;
       if (KindRunnable(bits, forced)) {

@@ -137,7 +137,10 @@ def exempt(host, min_cores=0):
 # Per bench: the gated number derived from the records, its lowest and
 # highest allowed value, and the exemption that skips it.
 GATES = {
-    "codec": [("pushdown speedup at 1% selectivity", pushdown_at_1pct, 5.0, None, exempt)],
+    "codec": [("pushdown speedup at 1% selectivity", pushdown_at_1pct, 5.0, None, exempt),
+              ("selected/block sum ratio", lambda r: min(
+                  value(r, series="selected", width=w) / value(r, series="block", width=w)
+                  for w in range(1, 65)), 0.95, None, exempt)],
     "service": [
         ("sharded threads", lambda r: pick(r, series="sharded")[0].get("threads", 0), 64, None,
          None),

@@ -134,6 +134,12 @@ class GateTest(unittest.TestCase):
         self.assertPasses(codec_file(speedup=4.9, fast=True))
         self.assertPasses(codec_file(speedup=5.0))
 
+    def test_codec_selected_kernel_gate_exempts_fast_runs(self):
+        slow = set_value(codec_file(), 0.94e9, series="selected", width=33)
+        self.assertFails("selected/block sum ratio = 0.94", slow)
+        self.assertPasses(set_value(codec_file(fast=True), 0.94e9, series="selected", width=33))
+        self.assertPasses(set_value(codec_file(), 0.95e9, series="selected", width=33))
+
     def test_runtime(self):
         self.assertPasses(runtime_file())
         self.assertFails("op=audit_off: missing",
