@@ -30,6 +30,7 @@
 #include "smart/dispatch.h"
 #include "smart/kernel_table.h"
 #include "smart/iterator.h"
+#include "smart/parallel_ops.h"
 #include "smart/predicate.h"
 #include "smart/smart_array.h"
 
@@ -324,25 +325,13 @@ std::vector<uint64_t> ScanValues(const char* distribution) {
   return values;
 }
 
-// Bulk-loads `values` into a fresh bit-packed SmartArray with *exact* zone
-// maps (whole-chunk ownership), the state PackRange leaves behind.
+// Bulk-loads `values` into a fresh bit-packed SmartArray through PackRange,
+// which leaves *exact* zone maps (whole-chunk ownership).
 std::unique_ptr<sa::smart::SmartArray> MakeScanArray(const std::vector<uint64_t>& values,
                                                      const sa::platform::Topology& topology) {
   auto array = sa::smart::SmartArray::Allocate(kSumElems, sa::smart::PlacementSpec::OsDefault(),
                                                kScanBits, topology);
-  const auto& codec = sa::smart::CodecFor(kScanBits);
-  for (int r = 0; r < array->num_replicas(); ++r) {
-    codec.pack_range(array->MutableReplica(r), 0, kSumElems, values.data());
-  }
-  for (uint64_t chunk = 0; chunk < array->num_chunks(); ++chunk) {
-    uint64_t lo = ~uint64_t{0};
-    uint64_t hi = 0;
-    for (uint64_t k = chunk * sa::kChunkElems; k < (chunk + 1) * sa::kChunkElems; ++k) {
-      lo = std::min(lo, values[k]);
-      hi = std::max(hi, values[k]);
-    }
-    array->SetZoneBounds(chunk, lo, hi);
-  }
+  sa::smart::PackRange(*array, 0, kSumElems, values.data());
   return array;
 }
 

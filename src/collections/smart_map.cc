@@ -6,6 +6,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "smart/dispatch.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::collections {
 
@@ -26,7 +27,7 @@ SmartMap::SmartMap(std::span<const std::pair<uint64_t, uint64_t>> pairs,
   }
 
   // Build into plain staging first (duplicates overwrite), then pack.
-  std::vector<uint8_t> staged_occupied(capacity_, 0);
+  std::vector<uint64_t> staged_occupied(capacity_, 0);
   std::vector<uint64_t> staged_keys(capacity_, 0);
   std::vector<uint64_t> staged_values(capacity_, 0);
   uint64_t total_probes = 0;
@@ -53,16 +54,9 @@ SmartMap::SmartMap(std::span<const std::pair<uint64_t, uint64_t>> pairs,
   keys_ = smart::SmartArray::Allocate(capacity_, placement, BitsForValue(max_key), topology);
   values_ =
       smart::SmartArray::Allocate(capacity_, placement, BitsForValue(max_value), topology);
-  const auto& occ_codec = smart::CodecFor(1);
-  const auto& key_codec = smart::CodecFor(keys_->bits());
-  const auto& value_codec = smart::CodecFor(values_->bits());
-  for (int r = 0; r < occupied_->num_replicas(); ++r) {
-    for (uint64_t s = 0; s < capacity_; ++s) {
-      occ_codec.init(occupied_->MutableReplica(r), s, staged_occupied[s]);
-      key_codec.init(keys_->MutableReplica(r), s, staged_keys[s]);
-      value_codec.init(values_->MutableReplica(r), s, staged_values[s]);
-    }
-  }
+  smart::PackRange(*occupied_, 0, capacity_, staged_occupied.data());
+  smart::PackRange(*keys_, 0, capacity_, staged_keys.data());
+  smart::PackRange(*values_, 0, capacity_, staged_values.data());
 }
 
 uint64_t SmartMap::SlotOf(uint64_t key) const { return SplitMix64(key) & (capacity_ - 1); }

@@ -4,6 +4,7 @@
 
 #include "common/macros.h"
 #include "smart/dispatch.h"
+#include "smart/parallel_ops.h"
 
 namespace sa::collections {
 namespace {
@@ -59,13 +60,7 @@ SmartSet::SmartSet(std::span<const uint64_t> values, SetLayout layout,
   }
 
   data_ = smart::SmartArray::Allocate(size_, placement, MinBits(stored), topology);
-  const auto& codec = smart::CodecFor(data_->bits());
-  for (int r = 0; r < data_->num_replicas(); ++r) {
-    uint64_t* replica = data_->MutableReplica(r);
-    for (uint64_t i = 0; i < size_; ++i) {
-      codec.init(replica, i, stored[i]);
-    }
-  }
+  smart::PackRange(*data_, 0, size_, stored.data());
 }
 
 bool SmartSet::Contains(uint64_t value, int socket) const {

@@ -116,10 +116,7 @@ std::vector<uint64_t> DegreeCentrality(rts::WorkerPool& pool, GraphSnapshot& sna
         smart::SmartArray::Allocate(n, smart::PlacementSpec::Interleaved(), 64, topology);
     DegreeCentralitySmart(pool, snapshot.view(), centrality.get(), &mix);
     snapshot.Account(mix);
-    const uint64_t* rep = centrality->GetReplica(0);
-    for (uint64_t v = 0; v < n; ++v) {
-      out[v] = smart::BitCompressedArray<64>::GetImpl(rep, v);
-    }
+    centrality->RangeUnpack(centrality->GetReplica(0), 0, n, out.data());
   }
   return out;
 }

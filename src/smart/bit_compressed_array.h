@@ -434,10 +434,11 @@ class BitCompressedArray final : public SmartArray {
   // ---- Chunk-streaming decode seam (UnpackRange / PackRange) ----
   //
   // The single bulk decode/encode path: whole chunks stream through the
-  // selected chunk decoder (CodecFor(BITS).unpack), ragged head/tail
-  // elements through the scalar codec. ForEachRangeImpl, the graph property
-  // scans, Restructure, and the saArrayUnpackRange/saArrayPackRange entry
-  // points all sit on these two.
+  // selected chunk decoder (CodecFor(BITS).unpack) or the pack network,
+  // ragged head/tail elements through the scalar codec. RangeUnpack (hence
+  // MapRange, the graph kernels and saArrayUnpackRange) decodes through
+  // UnpackRange; smart::PackRange (parallel_ops.h), the one checked bulk
+  // writer, and the encoding builds' payloads encode through PackRange.
 
   // Decodes elements [begin, end) into out[0 .. end-begin).
   static void UnpackRange(const uint64_t* replica, uint64_t begin, uint64_t end,
@@ -460,10 +461,9 @@ class BitCompressedArray final : public SmartArray {
   }
 
   // Encodes in[0 .. end-begin) into elements [begin, end). Values must fit
-  // the width (checked in debug builds; callers on untrusted paths check
-  // before calling). Not thread-safe against concurrent writers of the
-  // same words — ranges handed to parallel workers must be chunk-aligned,
-  // like ParallelFill batches.
+  // the width: checked here in debug builds only, always by
+  // smart::PackRange. Not thread-safe against concurrent writers of the
+  // same words — ranges handed to parallel workers must be chunk-aligned.
   static void PackRange(uint64_t* replica, uint64_t begin, uint64_t end, const uint64_t* in) {
     SA_DCHECK(begin <= end);
     SA_OBS_COUNT(kPackRangeCalls);

@@ -132,19 +132,7 @@ void saArrayUnpackRange(const void* sa, uint64_t begin, uint64_t end, uint64_t* 
 }
 
 void saArrayPackRange(void* sa, uint64_t begin, uint64_t end, const uint64_t* in) {
-  SmartArray* a = Array(sa);
-  SA_CHECK(begin <= end && end <= a->length());
-  SA_CHECK_MSG(a->encoding() == sa::smart::Encoding::kBitPacked,
-               "bulk pack requires the bit-packed encoding");
-  const uint64_t mask = ~sa::LowMask(a->bits());
-  uint64_t any = 0;
-  for (uint64_t i = 0; i < end - begin; ++i) {
-    any |= in[i];
-  }
-  SA_CHECK_MSG((any & mask) == 0, "value exceeds the array's bit width");
-  // PackRange (parallel_ops.h) also maintains the chunk zone maps, which a
-  // raw codec pack would silently leave stale-narrow.
-  sa::smart::PackRange(*a, begin, end, in);
+  sa::smart::PackRange(*Array(sa), begin, end, in);
 }
 
 void saArrayInitWithBits(void* sa, uint64_t index, uint64_t value, uint32_t bits) {

@@ -51,8 +51,10 @@ void saArrayUnpack(const void* sa, uint64_t chunk, uint64_t* out);
 void saArrayUnpackRange(const void* sa, uint64_t begin, uint64_t end, uint64_t* out);
 
 // Encode twin: packs in[0 .. end-begin) into elements [begin, end) of every
-// replica. Every value must fit the array's width (hard-checked: this is an
-// untrusted boundary).
+// replica through smart::PackRange, whose always-on checks guard this
+// untrusted boundary: an out-of-bounds range, an array in a read-optimised
+// encoding and a value wider than the array each abort with a diagnostic.
+// Chunks the range covers wholly get exact zones, partial ones widen.
 void saArrayPackRange(void* sa, uint64_t begin, uint64_t end, const uint64_t* in);
 
 // ---- Element access branched on `bits` (no virtual dispatch) ----

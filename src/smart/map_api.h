@@ -3,49 +3,35 @@
 // In comparison to the iterator API, the map interface can further improve
 // performance as it does not stall on the branches."
 //
-// MapRange promotes the runtime width to a compile-time constant and runs
-// the chunk-granular range kernel (ForEachRangeImpl): whole chunks decode
-// branch-free, so the per-element "new chunk?" test of the iterator
-// disappears entirely.
+// MapRange streams the range through the array's bulk decode
+// (SmartArray::RangeUnpack) in stack blocks, so the per-element "new
+// chunk?" test of the iterator disappears and every encoding takes the same
+// path: whole chunks of a bit-packed array decode branch-free through the
+// selected chunk decoder.
 #ifndef SA_SMART_MAP_API_H_
 #define SA_SMART_MAP_API_H_
 
 #include <algorithm>
 
 #include "common/bits.h"
-#include "smart/dispatch.h"
 #include "smart/smart_array.h"
 
 namespace sa::smart {
 
 // Applies fn(value, index) to every element of [begin, end), reading the
-// replica of `socket`. Decodes chunk-at-a-time; partial head/tail chunks
-// fall back to element gets.
+// replica of `socket`, 1,024 decoded elements at a time.
 template <typename Fn>
 void MapRange(const SmartArray& array, uint64_t begin, uint64_t end, int socket, Fn&& fn) {
   SA_CHECK(begin <= end && end <= array.length());
-  if (begin == end) {
-    return;
-  }
   const uint64_t* replica = array.GetReplica(socket);
-  if (array.encoding() != Encoding::kBitPacked) {
-    // Non-bit-packed storage: the words do not follow the packed chunk
-    // geometry, so stream through the encoding's own bulk decode instead.
-    uint64_t buffer[16 * kChunkElems];
-    for (uint64_t batch = begin; batch < end; batch += 16 * kChunkElems) {
-      const uint64_t batch_end = std::min(end, batch + 16 * kChunkElems);
-      array.RangeUnpack(replica, batch, batch_end, buffer);
-      for (uint64_t i = batch; i < batch_end; ++i) {
-        fn(buffer[i - batch], i);
-      }
+  uint64_t buffer[16 * kChunkElems];
+  for (uint64_t batch = begin; batch < end; batch += 16 * kChunkElems) {
+    const uint64_t batch_end = std::min(end, batch + 16 * kChunkElems);
+    array.RangeUnpack(replica, batch, batch_end, buffer);
+    for (uint64_t i = batch; i < batch_end; ++i) {
+      fn(buffer[i - batch], i);
     }
-    return;
   }
-  WithBits(array.bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    BitCompressedArray<kBits>::ForEachRangeImpl(replica, begin, end, fn);
-    return 0;
-  });
 }
 
 // Reduction flavour: returns the sum of fn(value, index) over the range.

@@ -1,8 +1,9 @@
 // Parallel bulk operations on smart arrays via Callisto-style loops.
 //
-// These are the helpers the paper's workloads use: parallel initialization
-// (whose batches are chunk-aligned so writers never share a 64-bit word and
-// no synchronization is needed) and parallel aggregations through the
+// These are the helpers the paper's workloads use: the one checked bulk
+// writer (PackRange) and the parallel initialization built on it, whose
+// batches are chunk-aligned so writers never share a 64-bit word and no
+// synchronization is needed, and parallel aggregations through the
 // chunk-granular range walkers of the codec table (kernel_table.h).
 #ifndef SA_SMART_PARALLEL_OPS_H_
 #define SA_SMART_PARALLEL_OPS_H_
@@ -21,42 +22,45 @@ namespace sa::smart {
 // initializers of a bit-compressed array never touch the same word.
 inline constexpr uint64_t kChunkAlignedGrain = 256 * kChunkElems;
 
-// Fills array[i] = generator(i) for i in [0, length) in parallel. The
+// Values a bulk writer stages on its stack per PackRange call (8 KiB).
+inline constexpr uint64_t kStageElems = 16 * kChunkElems;
+
+// Packs in[0 .. end-begin) into elements [begin, end) of every replica: the
+// encode twin of SmartArray::RangeUnpack and the only code that writes a
+// range of bit-packed words (the paper's Function 2, init, in bulk). Its
+// checks are always on: the range, the encoding (the read-optimised
+// encodings do not store bit-packed words at bits()) and every value's
+// width. One ChunkBounds pass per chunk feeds both the width check and the
+// zones: a chunk the range covers wholly gets exact bounds, a partial one
+// only widens. Returns false, packing nothing, when a value is wider than
+// the array; the zones of the chunks before it may already be replaced, so
+// the caller discards the array (TryRestructure's overflow outcome).
+// Callers own the chunks they write and run before the array is visible to
+// concurrent scans; parallel callers hand each worker a chunk-aligned range
+// (kChunkAlignedGrain) so no two writers share a word or a zone.
+bool TryPackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in);
+
+// TryPackRange for callers whose values must fit: a wider value aborts.
+void PackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in);
+
+// Fills array[i] = generator(i) for i in [0, length) in parallel: each
+// chunk-aligned grain stages the generator's values in a stack block and
+// packs it with PackRange, which checks them and keeps the zones. The
 // generator runs exactly once per index (it may be expensive or stateful
-// per call) and the value is written to every replica.
-// generator must be safe to call concurrently for distinct indices.
+// per call) and must be safe to call concurrently for distinct indices.
 template <typename Generator>
 void ParallelFill(rts::WorkerPool& pool, SmartArray& array, const Generator& generator) {
-  WithBits(array.bits(), [&](auto bits_const) {
-    constexpr uint32_t kBits = bits_const();
-    const int replicas = array.num_replicas();
-    rts::ParallelFor(pool, 0, array.length(), kChunkAlignedGrain,
-                     [&](int /*worker*/, uint64_t begin, uint64_t end) {
-                       // Chunk-aligned grains own every element of each chunk
-                       // they touch, so the zone bounds computed during the
-                       // fill replace the chunk's zone exactly (the same
-                       // exclusivity that makes the unsynchronized word
-                       // writes safe).
-                       for (uint64_t i = begin; i < end;) {
-                         const uint64_t chunk = i / kChunkElems;
-                         const uint64_t chunk_end =
-                             std::min(end, (chunk + 1) * kChunkElems);
-                         uint64_t lo = ~uint64_t{0};
-                         uint64_t hi = 0;
-                         for (; i < chunk_end; ++i) {
-                           const uint64_t value = generator(i);
-                           lo = std::min(lo, value);
-                           hi = std::max(hi, value);
-                           for (int r = 0; r < replicas; ++r) {
-                             BitCompressedArray<kBits>::InitImpl(array.MutableReplica(r), i,
-                                                                 value);
-                           }
-                         }
-                         array.SetZoneBounds(chunk, lo, hi);
+  rts::ParallelFor(pool, 0, array.length(), kChunkAlignedGrain,
+                   [&](int /*worker*/, uint64_t begin, uint64_t end) {
+                     uint64_t block[kStageElems];
+                     for (uint64_t b = begin; b < end; b += kStageElems) {
+                       const uint64_t e = std::min(end, b + kStageElems);
+                       for (uint64_t i = b; i < e; ++i) {
+                         block[i - b] = generator(i);
                        }
-                     });
-    return 0;
-  });
+                       PackRange(array, b, e, block);
+                     }
+                   });
 }
 
 // Parallel sum of all elements (the paper's aggregation kernel, Function 4):
@@ -86,42 +90,6 @@ inline uint64_t ParallelSum2(rts::WorkerPool& pool, const SmartArray& a1, const 
         const int socket = pool.worker_socket(worker);
         return codec.sum2_range(a1.GetReplica(socket), a2.GetReplica(socket), begin, end);
       });
-}
-
-// Packs in[0 .. end-begin) into elements [begin, end) of every bit-packed
-// replica (the encode twin of SmartArray::RangeUnpack). Values must fit the
-// array's width. Like ParallelFill, concurrent callers must hand each worker
-// a chunk-aligned range (kChunkAlignedGrain) so no two writers share a word.
-inline void PackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in) {
-  SA_CHECK(begin <= end && end <= array.length());
-  const CodecOps& codec = CodecFor(array.bits());
-  for (int r = 0; r < array.num_replicas(); ++r) {
-    codec.pack_range(array.MutableReplica(r), begin, end, in);
-  }
-  // Zone maintenance: a chunk whose every live element is inside [begin, end)
-  // gets exact bounds (legal because PackRange writers own their chunks and
-  // run before the array is visible to concurrent scans — the existing bulk
-  // loader contract); chunks only partially covered can merely widen.
-  const uint64_t length = array.length();
-  for (uint64_t i = begin; i < end;) {
-    const uint64_t chunk = i / kChunkElems;
-    const uint64_t chunk_first = chunk * kChunkElems;
-    const uint64_t chunk_last = std::min(length, chunk_first + kChunkElems);
-    const uint64_t stop = std::min(end, chunk_last);
-    uint64_t lo = in[i - begin];
-    uint64_t hi = lo;
-    for (uint64_t j = i; j < stop; ++j) {
-      const uint64_t value = in[j - begin];
-      lo = std::min(lo, value);
-      hi = std::max(hi, value);
-    }
-    if (i == chunk_first && stop == chunk_last) {
-      array.SetZoneBounds(chunk, lo, hi);
-    } else {
-      array.WidenZoneBounds(chunk, lo, hi);
-    }
-    i = stop;
-  }
 }
 
 // ---- Parallel pushdown scans (predicate.h, smart_array.h) ----
@@ -161,17 +129,6 @@ inline uint64_t ParallelSelectIf(rts::WorkerPool& pool, const SmartArray& array,
         return array.SelectIf(array.GetReplica(pool.worker_socket(worker)), begin, end, p,
                               bitmap + begin / kWordBits);
       });
-}
-
-// Parallel bulk fill from a materialized buffer: values[i] becomes
-// array[i]. The chunk-aligned grain keeps concurrent packers word-disjoint;
-// whole chunks go through the word-centric pack network rather than
-// per-element read-modify-write.
-inline void ParallelPack(rts::WorkerPool& pool, SmartArray& array, const uint64_t* values) {
-  rts::ParallelFor(pool, 0, array.length(), kChunkAlignedGrain,
-                   [&](int /*worker*/, uint64_t begin, uint64_t end) {
-                     PackRange(array, begin, end, values + begin);
-                   });
 }
 
 }  // namespace sa::smart

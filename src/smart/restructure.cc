@@ -7,7 +7,6 @@
 #include "obs/telemetry.h"
 #include "rts/parallel_for.h"
 #include "smart/dictionary.h"
-#include "smart/dispatch.h"
 #include "smart/for_delta.h"
 #include "smart/map_api.h"
 #include "smart/parallel_ops.h"
@@ -132,7 +131,6 @@ std::unique_ptr<SmartArray> TryRestructure(rts::WorkerPool& pool, const SmartArr
   if (target == nullptr) {
     return nullptr;
   }
-  const uint64_t width_check_mask = ~LowMask(target_bits);
 
   // Same-width fast path: the packed layouts are identical, so a rebuild
   // that only changes placement is a straight word copy per replica — no
@@ -157,53 +155,32 @@ std::unique_ptr<SmartArray> TryRestructure(rts::WorkerPool& pool, const SmartArr
     return target;
   }
 
-  // Width change: chunk-parallel decode -> overflow check -> repack through
-  // the streaming seam. Each worker batch decodes kBatchElems elements into
-  // a stack buffer via the source's selected unpack kernel, OR-reduces them
-  // for the width check (branch-free; one compare per batch), then packs the
-  // batch into every target replica through the word-centric pack network —
-  // no per-value virtual Get and no per-element read-modify-write. Batches
-  // are chunk-aligned (kChunkAlignedGrain is a multiple of kBatchElems), so
-  // parallel packers never share a target word.
-  const CodecOps& dst_codec = CodecFor(target_bits);
+  // Width change: chunk-parallel decode -> checked repack. Each worker batch
+  // decodes kStageElems elements into a stack buffer through the source's
+  // bulk decode and hands it to TryPackRange, whose one bounds pass checks
+  // the target width and installs the target's zones before the
+  // word-centric pack network writes every replica: no per-value virtual
+  // Get and no per-element read-modify-write. Batches are chunk-aligned
+  // (kChunkAlignedGrain is a multiple of kStageElems), so parallel packers
+  // never share a target word and every chunk gets exact bounds.
   std::atomic<bool> overflow{false};
   rts::ParallelFor(
       pool, 0, source.length(), kChunkAlignedGrain, [&](int worker, uint64_t b, uint64_t e) {
-        constexpr uint64_t kBatchElems = 16 * kChunkElems;
-        uint64_t buffer[kBatchElems];
+        uint64_t buffer[kStageElems];
         const uint64_t* src = source.GetReplica(pool.worker_socket(worker));
         // Batch-granular so the clock reads amortize over 1k elements.
         uint64_t local_unpack_ns = 0;
         uint64_t local_pack_ns = 0;
-        for (uint64_t batch = b; batch < e; batch += kBatchElems) {
-          const uint64_t batch_end = std::min(e, batch + kBatchElems);
+        for (uint64_t batch = b; batch < e; batch += kStageElems) {
+          const uint64_t batch_end = std::min(e, batch + kStageElems);
           const uint64_t t0 = timed ? obs::NowNs() : 0;
           // Virtual bulk decode: the source may not be bit-packed.
           source.RangeUnpack(src, batch, batch_end, buffer);
           const uint64_t t1 = timed ? obs::NowNs() : 0;
           local_unpack_ns += t1 - t0;
-          // The decoded batch is in hand anyway, so the overflow check and
-          // the target's zone bounds come from one chunk-granular pass
-          // (batches are chunk-aligned, so each chunk is wholly owned here
-          // and gets exact bounds).
-          uint64_t any = 0;
-          for (uint64_t i = 0; i < batch_end - batch; i += kChunkElems) {
-            const uint64_t n = std::min<uint64_t>(kChunkElems, batch_end - batch - i);
-            uint64_t lo = buffer[i];
-            uint64_t hi = buffer[i];
-            for (uint64_t j = i; j < i + n; ++j) {
-              any |= buffer[j];
-              lo = std::min(lo, buffer[j]);
-              hi = std::max(hi, buffer[j]);
-            }
-            target->SetZoneBounds((batch + i) / kChunkElems, lo, hi);
-          }
-          if (SA_UNLIKELY((any & width_check_mask) != 0)) {
+          if (SA_UNLIKELY(!TryPackRange(*target, batch, batch_end, buffer))) {
             overflow.store(true, std::memory_order_relaxed);
             break;
-          }
-          for (int r = 0; r < target->num_replicas(); ++r) {
-            dst_codec.pack_range(target->MutableReplica(r), batch, batch_end, buffer);
           }
           if (timed) {
             local_pack_ns += obs::NowNs() - t1;

@@ -1,10 +1,14 @@
 // Default pushdown-scan and range implementations for SmartArray (declared
 // in smart_array.h): the bit-packed payload read through the codec table,
 // scans walked by the shared zone walker (chunk_walk.h) with the predicate
-// itself as the payload predicate.
+// itself as the payload predicate. Also the encode twin of RangeUnpack, the
+// checked bulk writer PackRange (declared in parallel_ops.h).
+
+#include <algorithm>
 
 #include "smart/chunk_walk.h"
 #include "smart/dispatch.h"
+#include "smart/parallel_ops.h"
 #include "smart/smart_array.h"
 
 namespace sa::smart {
@@ -16,6 +20,37 @@ uint64_t SmartArray::RangeSum(const uint64_t* replica, uint64_t begin, uint64_t 
 void SmartArray::RangeUnpack(const uint64_t* replica, uint64_t begin, uint64_t end,
                              uint64_t* out) const {
   CodecFor(bits_).unpack_range(replica, begin, end, out);
+}
+
+bool TryPackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in) {
+  SA_CHECK_MSG(begin <= end && end <= array.length(), "pack range out of bounds");
+  SA_CHECK_MSG(array.encoding() == Encoding::kBitPacked,
+               "bulk pack requires the bit-packed encoding");
+  for (uint64_t i = begin; i < end;) {
+    const uint64_t chunk = i / kChunkElems;
+    const uint64_t chunk_first = chunk * kChunkElems;
+    const uint64_t chunk_last = std::min(array.length(), chunk_first + kChunkElems);
+    const uint64_t stop = std::min(end, chunk_last);
+    const auto [lo, hi] = ChunkBounds(in + (i - begin), stop - i);
+    if (SA_UNLIKELY(hi > array.max_value())) {
+      return false;
+    }
+    if (i == chunk_first && stop == chunk_last) {
+      array.SetZoneBounds(chunk, lo, hi);
+    } else {
+      array.WidenZoneBounds(chunk, lo, hi);
+    }
+    i = stop;
+  }
+  const CodecOps& codec = CodecFor(array.bits());
+  for (int r = 0; r < array.num_replicas(); ++r) {
+    codec.pack_range(array.MutableReplica(r), begin, end, in);
+  }
+  return true;
+}
+
+void PackRange(SmartArray& array, uint64_t begin, uint64_t end, const uint64_t* in) {
+  SA_CHECK_MSG(TryPackRange(array, begin, end, in), "value exceeds the array's bit width");
 }
 
 namespace {

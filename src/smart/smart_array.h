@@ -86,7 +86,8 @@ class SmartArray {
 
   // ---- Element access (Functions 1-3 of the paper) ----
   // Writes `value` into element `index` of every replica. Not thread-safe
-  // for elements sharing a 64-bit word; see InitAtomic and ParallelFill.
+  // for elements sharing a 64-bit word; see InitAtomic, and PackRange
+  // (parallel_ops.h) for ranges.
   virtual void Init(uint64_t index, uint64_t value) = 0;
 
   // Thread-safe variant of Init using compare-and-swap per touched word.
@@ -149,10 +150,10 @@ class SmartArray {
   //
   // Per-chunk [min, max] value bounds, maintained conservatively: element
   // writes only widen (before the data write — see bit_compressed_array.h),
-  // whole-chunk bulk writers install exact bounds under their existing
-  // no-concurrent-writer contracts, and restructure and the encoding builds
-  // install exact bounds in the rebuilt array. Bounds are always over
-  // element values, whatever the encoding stores. min > max means
+  // PackRange (parallel_ops.h) installs exact bounds on the chunks it
+  // covers wholly under its no-concurrent-writer contract, and the encoding
+  // builds install exact bounds in the array they build. Bounds are always
+  // over element values, whatever the encoding stores. min > max means
   // "unknown"; scans treat it as mixed. A fresh array's zones are the exact
   // [0, 0] of its zero-filled memory.
   uint64_t ZoneMin(uint64_t chunk) const {
@@ -174,8 +175,8 @@ class SmartArray {
   }
 
   // Replaces chunk bounds outright. Only legal for writers that own every
-  // element of the chunk (whole-chunk PackRange, fills, restructure) —
-  // the same contract under which the word writes themselves are safe.
+  // element of the chunk (PackRange on a whole chunk, the encoding builds)
+  // — the same contract under which the word writes themselves are safe.
   void SetZoneBounds(uint64_t chunk, uint64_t lo, uint64_t hi) {
     zone_min_[chunk].store(lo, std::memory_order_relaxed);
     zone_max_[chunk].store(hi, std::memory_order_relaxed);
@@ -205,7 +206,8 @@ class SmartArray {
   // the machine-model demand builders).
   const platform::MappedRegion& region(int r) const { return regions_[r]; }
 
-  // Mutable raw words of replica `r` — for bulk loaders that bypass Init.
+  // Mutable raw words of replica `r`, for the writers that own the layout:
+  // PackRange, the encoding builds and width-specialised kernels.
   uint64_t* MutableReplica(int r) { return replica_ptrs_[r]; }
 
   // Largest value representable with this array's width.

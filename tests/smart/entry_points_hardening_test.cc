@@ -5,7 +5,10 @@
 // is an always-on SA_CHECK, not a debug assert.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "smart/entry_points.h"
+#include "smart/restructure.h"
 
 namespace {
 
@@ -86,6 +89,36 @@ TEST_F(EntryPointsHardeningTest, SelectIfRejectsUndersizedOrNullBitmap) {
   // The empty range needs no buffer at all and returns zero matches.
   EXPECT_EQ(saArraySelectIf(sa, 7, 7, 2, 5, nullptr, 0), 0u);
   saArrayFree(sa);
+}
+
+// saArrayPackRange is smart::PackRange behind the boundary: a range past the
+// end, a handle in a read-optimised encoding and a value wider than the
+// array each die with the writer's diagnostic.
+TEST_F(EntryPointsHardeningTest, PackRangeRejectsBadRangesEncodingsAndWidths) {
+  std::vector<uint64_t> in(130, 8191);
+  void* sa = saArrayAllocate(130, 0, 0, -1, 13);
+  EXPECT_DEATH(saArrayPackRange(sa, 64, 131, in.data()), "out of bounds");
+  EXPECT_DEATH(saArrayPackRange(sa, 100, 99, in.data()), "out of bounds");
+  in[70] = 8192;
+  EXPECT_DEATH(saArrayPackRange(sa, 64, 128, in.data() + 64),
+               "value exceeds the array's bit width");
+  EXPECT_DEATH(saArrayPackRange(sa, 0, 130, in.data()), "value exceeds the array's bit width");
+  in[70] = 8191;
+  saArrayPackRange(sa, 0, 130, in.data());
+  EXPECT_EQ(saArrayGet(sa, 129), 8191u);
+  saArrayFree(sa);
+
+  std::vector<uint64_t> values(1000);
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    values[i] = 1000 + i % 7;
+  }
+  void* encoded = sa::smart::Encode(values, sa::smart::Encoding::kForDelta,
+                                    sa::smart::PlacementSpec::OsDefault(),
+                                    sa::platform::Topology::Synthetic(2, 4))
+                      .release();
+  EXPECT_DEATH(saArrayPackRange(encoded, 0, 64, values.data()),
+               "bulk pack requires the bit-packed encoding");
+  saArrayFree(encoded);
 }
 
 TEST_F(EntryPointsHardeningTest, InRangeAccessStillWorksAfterHardening) {

@@ -2,6 +2,10 @@
 // serial references for every placement and representative widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <vector>
+
 #include "common/random.h"
 #include "smart/parallel_ops.h"
 #include "smart/restructure.h"
@@ -42,16 +46,66 @@ TEST_P(ParallelOpsTest, ParallelFillMatchesGenerator) {
   const uint64_t n = 100'000;
   auto array = SmartArray::Allocate(n, Spec(), GetParam().bits, topo_);
   const uint64_t mask = array->max_value();
-  ParallelFill(pool_, *array, [mask](uint64_t i) { return (i * 31 + 7) & mask; });
+  const auto gen = [mask](uint64_t i) { return (i * 31 + 7) & mask; };
+  std::vector<std::atomic<uint32_t>> calls(n);
+  ParallelFill(pool_, *array, [&](uint64_t i) {
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+    return gen(i);
+  });
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(calls[i].load(), 1u) << "generator calls for index " << i;
+  }
   // Spot-check densely at chunk boundaries and sparsely elsewhere.
   for (uint64_t i = 0; i < n; i = (i < 300 ? i + 1 : i + 997)) {
-    ASSERT_EQ(array->Get(i, array->GetReplica(0)), (i * 31 + 7) & mask) << "index " << i;
+    ASSERT_EQ(array->Get(i, array->GetReplica(0)), gen(i)) << "index " << i;
   }
   if (array->replicated()) {
     for (uint64_t i = 0; i < n; i += 1009) {
-      ASSERT_EQ(array->Get(i, array->GetReplica(1)), (i * 31 + 7) & mask);
+      ASSERT_EQ(array->Get(i, array->GetReplica(1)), gen(i));
     }
   }
+  // The fill owns every chunk, so each zone is exactly its chunk's bounds
+  // (the last chunk is ragged: 100,000 is not a multiple of 64).
+  for (uint64_t chunk = 0; chunk < array->num_chunks(); ++chunk) {
+    uint64_t lo = ~uint64_t{0};
+    uint64_t hi = 0;
+    for (uint64_t i = chunk * kChunkElems; i < std::min(n, (chunk + 1) * kChunkElems); ++i) {
+      lo = std::min(lo, gen(i));
+      hi = std::max(hi, gen(i));
+    }
+    ASSERT_EQ(array->ZoneMin(chunk), lo) << "chunk " << chunk;
+    ASSERT_EQ(array->ZoneMax(chunk), hi) << "chunk " << chunk;
+  }
+}
+
+// The one bulk writer refuses a value one past the array's width wherever it
+// sits: in a whole chunk, in a ragged head, and through ParallelFill.
+// Unchecked, a release build stores it truncated under a zone that excludes
+// it, so scans and Get disagree.
+TEST_P(ParallelOpsTest, BulkWritesRefuseValuesWiderThanTheArray) {
+  if (GetParam().bits == 64) {
+    GTEST_SKIP() << "every 64-bit value fits";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // the pool's threads
+  const uint64_t n = 1000;
+  auto array = SmartArray::Allocate(n, Spec(), GetParam().bits, topo_);
+  const uint64_t wide = array->max_value() + 1;
+  std::vector<uint64_t> values(n, array->max_value());
+  values[130] = wide;  // inside the whole chunk [128, 192)
+  EXPECT_DEATH(PackRange(*array, 128, 192, values.data() + 128),
+               "value exceeds the array's bit width");
+  EXPECT_DEATH(PackRange(*array, 130, 140, values.data() + 130),  // ragged head
+               "value exceeds the array's bit width");
+  EXPECT_DEATH(ParallelFill(pool_, *array, [wide](uint64_t i) { return i == 700 ? wide : 0; }),
+               "value exceeds the array's bit width");
+  // Values that fit still pack, with exact zones on whole chunks.
+  values[130] = 0;
+  PackRange(*array, 0, n, values.data());
+  EXPECT_EQ(array->Get(130, array->GetReplica(0)), 0u);
+  EXPECT_EQ(array->Get(131, array->GetReplica(0)), array->max_value());
+  EXPECT_EQ(array->ZoneMin(2), 0u);
+  EXPECT_EQ(array->ZoneMax(2), array->max_value());
+  EXPECT_EQ(array->ZoneMin(3), array->max_value());
 }
 
 TEST_P(ParallelOpsTest, ParallelSumMatchesSerialSum) {
@@ -92,6 +146,29 @@ TEST_P(ParallelOpsTest, ParallelSumMatchesEveryEncoding) {
     if (encoding != Encoding::kBitPacked) {
       EXPECT_DEATH(ParallelSum2(pool_, *array, *array), "bit-packed");
     }
+  }
+}
+
+// PackRange writes bit-packed words at bits(); the read-optimised encodings
+// store frames, codes or runs, so the one bulk writer and ParallelFill on it
+// refuse them instead of overwriting their layouts.
+TEST(BulkWriteTest, RefusesReadOptimisedEncodings) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // the pool's threads
+  const auto topo = platform::Topology::Synthetic(2, 2);
+  rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  std::vector<uint64_t> values(10'000);
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    values[i] = 1000 + i % 7;
+  }
+  for (const Encoding encoding :
+       {Encoding::kForDelta, Encoding::kDictionary, Encoding::kRunLength}) {
+    SCOPED_TRACE(ToString(encoding));
+    auto array = Encode(values, encoding, PlacementSpec::OsDefault(), topo);
+    ASSERT_EQ(array->encoding(), encoding);
+    EXPECT_DEATH(PackRange(*array, 0, 640, values.data()),
+                 "bulk pack requires the bit-packed encoding");
+    EXPECT_DEATH(ParallelFill(pool, *array, [&values](uint64_t i) { return values[i]; }),
+                 "bulk pack requires the bit-packed encoding");
   }
 }
 
