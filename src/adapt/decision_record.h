@@ -8,6 +8,7 @@
 #define SA_ADAPT_DECISION_RECORD_H_
 
 #include <cstdint>
+#include <string>
 
 #include "adapt/selector.h"
 #include "adapt/specs.h"
@@ -39,14 +40,18 @@ struct CandidateRecord {
   const char* role = "";
 };
 
-// Trace-word encoding of one configuration, shared by the trace ring, the
-// explain C-ABI and the CLI decoder:
+// Trace-word encoding of one configuration, shared by the trace ring and
+// the explain C-ABI:
 //   encoding << 24 | bits << 16 | placement kind << 8 | socket & 0xff.
 inline uint64_t PackConfigWord(const Configuration& config, uint32_t bits) {
   return (static_cast<uint64_t>(config.encoding) << 24) | (uint64_t{bits} << 16) |
          (static_cast<uint64_t>(config.placement.kind) << 8) |
          static_cast<uint64_t>(config.placement.socket & 0xff);
 }
+
+// Inverse of PackConfigWord, as text: "placement[(socket)]/<bits>b", plus
+// "/<encoding>" for anything but bit-packed (e.g. "interleaved/13b").
+std::string DecodeConfigWord(uint64_t word);
 
 struct DecisionRecord {
   static constexpr int kMaxCandidates = 4;

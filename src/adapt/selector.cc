@@ -51,6 +51,21 @@ const char* ToString(DecisionReason reason) {
   return "?";
 }
 
+std::string DecodeConfigWord(uint64_t word) {
+  const auto kind = static_cast<smart::Placement>((word >> 8) & 0xff);
+  const auto bits = static_cast<uint32_t>((word >> 16) & 0xff);
+  const auto encoding = static_cast<smart::Encoding>((word >> 24) & 0xff);
+  std::string s = smart::ToString(kind);
+  if (kind == smart::Placement::kSingleSocket) {
+    s += "(" + std::to_string(word & 0xff) + ")";
+  }
+  s += "/" + std::to_string(bits) + "b";
+  if (encoding != smart::Encoding::kBitPacked) {
+    s += std::string("/") + smart::ToString(encoding);
+  }
+  return s;
+}
+
 SelectorResult ChooseConfiguration(const SelectorInputs& inputs, DecisionRecord* record) {
   const bool space_uncompressed =
       inputs.space_for_uncompressed_replication.value_or(SpaceForReplication(

@@ -1,8 +1,5 @@
 #include "common/cpu_features.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace sa {
 namespace {
 
@@ -16,10 +13,6 @@ CpuFeatures Detect() {
                     __builtin_cpu_supports("avx512dq") != 0 &&
                     __builtin_cpu_supports("avx512vbmi") != 0;
 #endif
-  const char* disable = std::getenv("SA_DISABLE_AVX2");
-  if (disable != nullptr && std::strcmp(disable, "0") != 0) {
-    features = CpuFeatures{};
-  }
   return features;
 }
 

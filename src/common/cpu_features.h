@@ -17,10 +17,9 @@ struct CpuFeatures {
   bool avx512 = false;
 };
 
-// Features of the host CPU, probed once (thread-safe, cached) and merged
-// with the SA_DISABLE_AVX2 environment override: setting SA_DISABLE_AVX2 to
-// any value other than "0" clears both flags, forcing the scalar block
-// kernels, which is how CI covers the fallback path on SIMD-capable runners.
+// Features of the host CPU from CPUID, probed once (thread-safe, cached).
+// SA_FORCE_KERNEL=block (smart/kernel_table.h) keeps SIMD kernels from
+// running on a host that has them.
 const CpuFeatures& HostCpuFeatures();
 
 }  // namespace sa

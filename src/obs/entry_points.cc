@@ -122,8 +122,6 @@ void saObsSetEnabled(int enabled) { sa::obs::SetEnabled(enabled != 0); }
 
 int saObsGetEnabled() { return sa::obs::Enabled() ? 1 : 0; }
 
-int saObsCompiledIn() { return sa::obs::kCompiledIn ? 1 : 0; }
-
 void saObsReset() {
   std::lock_guard<std::mutex> lock(g_drain_mu);
   sa::obs::ResetForTesting();

@@ -4,8 +4,7 @@
 // mirroring the §4.3 entry-point philosophy of smart/runtime entry_points.
 //
 // All functions are safe to call at any time, including concurrently with
-// instrumented hot paths. With SA_OBS compiled out they stay linkable and
-// report zero everywhere (saObsCompiledIn() == 0).
+// instrumented hot paths.
 #ifndef SA_OBS_ENTRY_POINTS_H_
 #define SA_OBS_ENTRY_POINTS_H_
 
@@ -77,8 +76,7 @@ uint64_t saObsTraceDropped();
 // the accumulated timeline. Same buffer contract as saObsPrometheusText:
 // copies at most cap-1 bytes plus a NUL into buf (when cap > 0) and returns
 // the full untruncated length; call with buf == NULL to size. Events that
-// belong to one adaptation share an args.trace_id. With SA_OBS compiled out
-// this stays linkable and returns an empty (but valid) document.
+// belong to one adaptation share an args.trace_id.
 uint64_t saObsTraceExportJson(char* buf, uint64_t cap);
 
 const char* saObsTraceKindName(uint32_t kind);
@@ -92,9 +90,6 @@ uint64_t saObsPrometheusText(char* buf, uint64_t cap);
 // Runtime kill switch for the instrumentation hot path (default enabled).
 void saObsSetEnabled(int enabled);
 int saObsGetEnabled();
-
-// 1 when the build defined SA_OBS (instrumentation macros active).
-int saObsCompiledIn();
 
 // Zeroes all counters, gauges, histograms, the trace ring and the global
 // drain cursor. Intended for tests and demos, not concurrent production use.

@@ -76,8 +76,6 @@ std::string JsonText() {
   out.reserve(4096);
   out += "{\"enabled\":";
   out += Enabled() ? "true" : "false";
-  out += ",\"compiled_in\":";
-  out += kCompiledIn ? "true" : "false";
   out += ",\"counters\":{";
   for (int i = 0; i < kCounterIdCount; ++i) {
     const CounterId id = static_cast<CounterId>(i);

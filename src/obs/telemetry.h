@@ -12,11 +12,9 @@
 // writers race the read.
 //
 // All instrumentation goes through the SA_OBS_* macros at the bottom of this
-// header. When the build does not define SA_OBS they expand to nothing, so
-// instrumented hot paths collapse to the uninstrumented code. When SA_OBS is
-// defined there is additionally a process-wide runtime kill switch
-// (SetEnabled) checked with one relaxed load, which lets a single binary
-// measure instrumented-vs-uninstrumented overhead.
+// header and is always compiled in. Its one switch is the process-wide
+// runtime kill switch (SetEnabled), checked with one relaxed load, which
+// lets a single binary measure instrumented-vs-uninstrumented overhead.
 
 #include <atomic>
 #include <bit>
@@ -107,11 +105,9 @@ inline constexpr int kShards = 64;
 // i.e. the half-open power-of-two range [2^(i-1), 2^i).
 inline constexpr int kHistBuckets = 65;
 
-#ifdef SA_OBS
+// Always true: instrumentation has no build-time switch. Kept only for the
+// benchmark harness's host record; library, test and tool code do not read it.
 inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 namespace internal {
 
@@ -139,9 +135,9 @@ inline int ThreadShard() {
 
 }  // namespace internal
 
-// Runtime kill switch (only meaningful when SA_OBS is compiled in).
+// Runtime kill switch.
 inline bool Enabled() {
-  return kCompiledIn && internal::g_enabled.load(std::memory_order_relaxed);
+  return internal::g_enabled.load(std::memory_order_relaxed);
 }
 void SetEnabled(bool enabled);
 
@@ -164,9 +160,6 @@ inline void Count(CounterId id, uint64_t n) {
 // they ignore the runtime kill switch: toggling mid-pair must not leave the
 // aggregate permanently skewed.
 inline void GaugeAdd(GaugeId id, int64_t delta) {
-  if (!kCompiledIn) {
-    return;
-  }
   internal::g_shards[internal::ThreadShard()].gauges[id].fetch_add(
       delta, std::memory_order_relaxed);
 }
@@ -204,8 +197,6 @@ const char* HistogramName(HistogramId id);
 // Zeroes every shard. Testing only: racing writers may leave residue.
 void ResetForTesting();
 
-#ifdef SA_OBS
-
 #define SA_OBS_COUNT(id) ::sa::obs::Count(::sa::obs::id, 1)
 #define SA_OBS_COUNT_N(id, n) \
   ::sa::obs::Count(::sa::obs::id, static_cast<uint64_t>(n))
@@ -232,16 +223,6 @@ class ScopedNsTimer {
 #define SA_OBS_SCOPED_NS(id)                                      \
   ::sa::obs::ScopedNsTimer SA_OBS_SCOPED_NS_CAT(sa_obs_timer_,    \
                                                 __LINE__)(::sa::obs::id)
-
-#else  // !SA_OBS
-
-#define SA_OBS_COUNT(id) ((void)0)
-#define SA_OBS_COUNT_N(id, n) ((void)0)
-#define SA_OBS_GAUGE_ADD(id, delta) ((void)0)
-#define SA_OBS_HIST(id, value) ((void)0)
-#define SA_OBS_SCOPED_NS(id)
-
-#endif  // SA_OBS
 
 }  // namespace sa::obs
 

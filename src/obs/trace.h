@@ -93,12 +93,8 @@ const char* TraceKindName(uint32_t kind);
 
 void TraceResetForTesting();
 
-#ifdef SA_OBS
 #define SA_OBS_TRACE(kind, slot, ...) \
   ::sa::obs::EmitTrace(::sa::obs::kind, (slot), ##__VA_ARGS__)
-#else
-#define SA_OBS_TRACE(...) ((void)0)
-#endif
 
 }  // namespace sa::obs
 

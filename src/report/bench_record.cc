@@ -68,7 +68,7 @@ std::string HostRecord(const std::string& bench) {
          ", \"sockets\": " + std::to_string(topology.num_sockets()) +
          ", \"isa\": " + Quoted(isa) + ", \"sum_kernels\": " + Quoted(KernelLetters(false)) +
          ", \"predicate_kernels\": " + Quoted(KernelLetters(true)) +
-         ", \"sa_obs\": " + (obs::kCompiledIn ? "true" : "false") +
+         ", \"sa_obs\": " + (obs::Enabled() ? "true" : "false") +
          ", \"fast\": " + (FastMode() ? "true" : "false") + "}";
 }
 

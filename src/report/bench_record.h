@@ -7,8 +7,9 @@
 // where the harness varies them `metric`, `width`, `encoding`, `placement`,
 // `threads`, `distribution` and `selectivity`. The first record describes
 // the host instead (`"series": "host"`: cores, sockets, ISA flags, the
-// kernel bound at each width, SA_OBS, fast mode). tools/bench_diff.py
-// checks one file against its gates and diffs two files record by record.
+// kernel bound at each width, whether telemetry is live, fast mode).
+// tools/bench_diff.py checks one file against its gates and diffs two files
+// record by record.
 #ifndef SA_REPORT_BENCH_RECORD_H_
 #define SA_REPORT_BENCH_RECORD_H_
 

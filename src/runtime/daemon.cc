@@ -1,13 +1,11 @@
 #include "runtime/daemon.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 
 #include "adapt/decision_record.h"
 #include "adapt/estimator.h"
 #include "common/bits.h"
-#include "common/log.h"
 #include "common/macros.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -61,9 +59,6 @@ void AdaptationDaemon::Start() {
     workers_.emplace_back([this, w] { WorkerMain(w); });
   }
   SA_OBS_GAUGE_ADD(kDaemonRunning, 1);
-  SA_LOG(kInfo, "daemon", "started (interval=%lld ms, workers=%d, shards=%d)",
-         static_cast<long long>(options_.interval.count()), options_.num_workers,
-         registry_->num_shards());
 }
 
 void AdaptationDaemon::Stop() {
@@ -80,8 +75,6 @@ void AdaptationDaemon::Stop() {
   }
   workers_.clear();
   SA_OBS_GAUGE_ADD(kDaemonRunning, -1);
-  SA_LOG(kInfo, "daemon", "stopped after %" PRIu64 " shard passes",
-         passes_.load(std::memory_order_relaxed));
 }
 
 void AdaptationDaemon::WorkerMain(int worker) {
@@ -176,10 +169,6 @@ bool AdaptationDaemon::ProcessSlot(ArraySlot& slot) {
     // sample is dropped, and before the telemetry layer that happened
     // silently. See also the race drops counted in AdaptSlot.
     SA_OBS_COUNT(kDaemonSampleDrops);
-    SA_LOG(kDebug, "daemon",
-           "slot=%s sample dropped (thin): accesses=%" PRIu64 " min=%" PRIu64
-           " seconds=%.4f",
-           slot.name().c_str(), accesses, options_.min_sampled_accesses, sample.seconds);
     return false;
   }
   const adapt::WorkloadCounters counters =
@@ -220,9 +209,6 @@ void AdaptationDaemon::ObserveRate(ArraySlot& slot, double rate) {
       SA_OBS_COUNT(kDaemonDecisionsScored);
       SA_OBS_HIST(kDaemonCalibrationErrPpm, error * 1e6);
       SA_OBS_HIST(kDaemonRealizedSpeedupPpm, realized * 1e6);
-      SA_LOG(kDebug, "daemon",
-             "slot=%s score: predicted=%.3f realized=%.3f err=%.3f",
-             slot.name().c_str(), predicted, realized, error);
     }
   }
   state->rate_ewma = state->has_rate
@@ -245,8 +231,6 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
   // rebuilds in flight), stop adding debt and let reclaim catch up.
   if (slot.epoch().retired_count() > kMaxRetiredDebt) {
     SA_OBS_COUNT(kDaemonBackpressureDrops);
-    SA_LOG(kDebug, "daemon", "slot=%s sample dropped (backpressure: retired debt)",
-           slot.name().c_str());
     return false;
   }
   // Pin while reading the source: only this daemon publishes today, but the
@@ -360,12 +344,6 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
     SA_OBS_COUNT(kDaemonRejectMargin);
     SA_OBS_TRACE(kTraceDecision, slot_name, packed_current, packed_chosen, decision_word,
                  win_ppm);
-    SA_LOG(kDebug, "daemon",
-           "slot=%s decision=reject-margin %s/%ub -> %s/%ub win=%.4f margin=%.4f",
-           slot_name, smart::ToString(source.placement().kind), source.bits(),
-           smart::ToString(result.chosen.placement.kind), new_bits,
-           chosen_speedup / std::max(current_speedup, 1e-12) - 1.0,
-           options_.min_predicted_win);
     slot.epoch_->Unpin(pin);
     return false;
   }
@@ -373,22 +351,12 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
     SA_OBS_COUNT(kDaemonFlapHolds);
     SA_OBS_TRACE(kTraceFlapHold, slot_name, packed_current, packed_chosen, trace_id,
                  static_cast<uint64_t>(hold_remaining));
-    SA_LOG(kInfo, "daemon", "slot=%s decision=flap-hold %s/%ub -> %s/%ub hold=%d",
-           slot_name, smart::ToString(source.placement().kind), source.bits(),
-           smart::ToString(result.chosen.placement.kind), new_bits, hold_remaining);
     slot.epoch_->Unpin(pin);
     return false;
   }
 
   SA_OBS_TRACE(kTraceDecision, slot_name, packed_current, packed_chosen, decision_word,
                win_ppm);
-  SA_LOG(kInfo, "daemon",
-         "slot=%s decision=accept %s/%ub -> %s/%ub win=%.4f reads=%.0f/s "
-         "random=%.3f",
-         slot_name, smart::ToString(source.placement().kind), source.bits(),
-         smart::ToString(result.chosen.placement.kind), new_bits,
-         chosen_speedup / std::max(current_speedup, 1e-12) - 1.0,
-         counters.accesses_per_second, counters.random_fraction);
 
   SA_OBS_TRACE(kTraceRestructureBegin, slot_name, packed_current, packed_chosen, trace_id);
   smart::RestructureStats stats;
@@ -403,8 +371,6 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
     // the sampled interval produced no adaptation, so its sample is lost.
     // The next cycle re-measures and retries.
     SA_OBS_COUNT(kDaemonSampleDrops);
-    SA_LOG(kWarn, "daemon", "slot=%s restructure aborted (width overflow race)",
-           slot_name);
     return false;
   }
   uint64_t new_sequence = source_sequence + 1;
@@ -412,7 +378,6 @@ bool AdaptationDaemon::AdaptSlotTraced(ArraySlot& slot, const adapt::WorkloadCou
     // Writes raced the rebuild; drop it (and the sample) and retry next
     // cycle.
     SA_OBS_COUNT(kDaemonSampleDrops);
-    SA_LOG(kWarn, "daemon", "slot=%s publish refused (lost-write race)", slot_name);
     return false;
   }
   adaptations_.fetch_add(1, std::memory_order_relaxed);

@@ -165,8 +165,8 @@ struct SaSlotDecision {
 // min(cap, total, SA_EXPLAIN_MAX_DECISIONS)). Returns 0 when the slot has
 // no audit state yet — the daemon has never decided on it, or runs with
 // audit off. cap == 0 (out may be NULL) is a cheap "any decisions?" probe.
-// Works with SA_OBS compiled out: the audit plane is runtime state, not
-// telemetry.
+// Works with telemetry off (saObsSetEnabled(0)): the audit plane is runtime
+// state, not telemetry.
 uint64_t saSlotExplain(void* slot, SaSlotDecision* out, uint64_t cap);
 
 // Copies the newest *published* decision — the one behind the slot's live
@@ -175,7 +175,7 @@ uint64_t saSlotExplain(void* slot, SaSlotDecision* out, uint64_t cap);
 // saSlotExplain this survives ring eviction: under reject-heavy traffic the
 // accepted record ages out of the 8-deep ring, but the slot keeps a copy
 // that also receives its realized-vs-predicted calibration score. Works
-// with SA_OBS compiled out.
+// with telemetry off.
 uint32_t saSlotExplainPublished(void* slot, SaSlotDecision* out);
 
 // ---- Snapshot (consistent read view) ----

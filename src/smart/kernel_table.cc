@@ -48,24 +48,27 @@ std::optional<KernelKind> ForcedKindFromEnv() {
   return std::nullopt;
 }
 
-// Every kind's entry for one width, indexed by KernelKind, and whether this
-// host can run it.
+// Every kind's entry for one width, indexed by KernelKind, and whether it
+// may run: the host can run it and no forced kind comes before it.
 struct Candidates {
   CodecOps ops[kNumKinds];
   bool runnable[kNumKinds] = {};
 };
 
 template <uint32_t BITS>
-Candidates MakeCandidates() {
+Candidates MakeCandidates(std::optional<KernelKind> forced) {
   using Codec = BitCompressedArray<BITS>;
   Candidates c;
   for (const KernelKind kind : kKinds) {
     c.ops[static_cast<size_t>(kind)] = Codec::Ops(kind);
   }
   const CpuFeatures& cpu = HostCpuFeatures();
+  const auto allowed = [&](KernelKind kind) { return !forced.has_value() || kind <= *forced; };
   c.runnable[static_cast<size_t>(KernelKind::kBlock)] = true;
-  c.runnable[static_cast<size_t>(KernelKind::kAvx2V2)] = Codec::kHasV2 && cpu.avx2;
-  c.runnable[static_cast<size_t>(KernelKind::kAvx512)] = Codec::kHasAvx512 && cpu.avx512;
+  c.runnable[static_cast<size_t>(KernelKind::kAvx2V2)] =
+      Codec::kHasV2 && cpu.avx2 && allowed(KernelKind::kAvx2V2);
+  c.runnable[static_cast<size_t>(KernelKind::kAvx512)] =
+      Codec::kHasAvx512 && cpu.avx512 && allowed(KernelKind::kAvx512);
   return c;
 }
 
@@ -111,19 +114,13 @@ struct Table {
 Table BuildTable() {
   Table table;
   Candidates* cand = table.candidates;
+  const std::optional<KernelKind> forced = ForcedKindFromEnv();
   [&]<size_t... I>(std::index_sequence<I...>) {
-    ((cand[I + 1] = MakeCandidates<I + 1>()), ...);
+    ((cand[I + 1] = MakeCandidates<I + 1>(forced)), ...);
   }(std::make_index_sequence<64>{});
 
   constexpr auto kBlockIdx = static_cast<size_t>(KernelKind::kBlock);
   table.ops[0] = cand[1].ops[kBlockIdx];  // never a valid width; defensively block
-  for (uint32_t bits = 1; bits <= 64; ++bits) {
-    table.ops[bits] = cand[bits].ops[kBlockIdx];
-  }
-  const std::optional<KernelKind> forced = ForcedKindFromEnv();
-  if (forced == KernelKind::kBlock) {
-    return table;
-  }
 
   // One packed buffer serves every width: sized for the widest chunk, and
   // any bit pattern decodes to *some* valid value sequence.
@@ -150,7 +147,7 @@ Table BuildTable() {
     CodecOps pred = sum;
     for (const KernelKind kind : {KernelKind::kAvx2V2, KernelKind::kAvx512}) {
       const auto k = static_cast<size_t>(kind);
-      if (!cand[bits].runnable[k] || (forced.has_value() && *forced < kind)) {
+      if (!cand[bits].runnable[k]) {
         continue;
       }
       const CodecOps& challenger = cand[bits].ops[k];

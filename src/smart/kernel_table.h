@@ -20,10 +20,10 @@
 // v2 where v2 exists, then the winner races AVX-512 where that exists;
 // best-of-N times decide and a challenger must strictly win. The
 // calibration calls the candidate kernels directly and never CodecFor.
-// Overrides:
-//   * SA_DISABLE_AVX2 != "0"      — scalar block kernels everywhere
-//     (the existing CI lane; checked via sa::HostCpuFeatures()).
-//   * SA_FORCE_KERNEL=block       — scalar block kernels everywhere.
+// Overrides (one variable; a forced kind makes every kind after it
+// unrunnable, so CandidateKernels returns nullptr for those too):
+//   * SA_FORCE_KERNEL=block       — scalar block kernels everywhere and no
+//     SIMD instruction at all: the scalar-host mode CI runs on SIMD hosts.
 //   * SA_FORCE_KERNEL=avx2        — v2 kernels wherever they exist, even if
 //     they measured slower, and no AVX-512 kernels (benchmarking, tests).
 //   * SA_FORCE_KERNEL=avx512      — AVX-512 kernels wherever they exist and
@@ -105,8 +105,8 @@ using KernelOps = CodecOps;
 inline const CodecOps& KernelsFor(uint32_t bits) { return CodecFor(bits); }
 
 // The entry of `kind` at `bits`, or nullptr where the kind has no kernels
-// at that width or the host cannot run them (CPUID minus SA_DISABLE_AVX2);
-// kBlock is always there. Candidacy, not selection: the differential tests
+// at that width, the host cannot run them (CPUID), or SA_FORCE_KERNEL forces
+// a kind before it; kBlock is always there. Candidacy, not selection: the differential tests
 // and micro_codec target a kind through this even at widths where the table
 // bound another.
 const CodecOps* CandidateKernels(uint32_t bits, KernelKind kind);

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "obs/entry_points.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -301,20 +300,6 @@ TEST_F(ObsRuntimeTest, FullAdaptationCycleReconstructsFromTrace) {
   EXPECT_GE(CounterValue(obs::kPublishes), 2u);  // initial fill + adaptation
   EXPECT_GE(CounterValue(obs::kEpochReclaimed), 1u);
   EXPECT_GT(obs::HistogramValue(obs::kRestructureWallNs).count, 0u);
-}
-
-TEST_F(ObsRuntimeTest, LogLevelGatesFollowSaLogSemantics) {
-  log::SetLevelForTesting(log::kOff);
-  EXPECT_FALSE(SA_LOG_ENABLED(kError));
-  log::SetLevelForTesting(log::kWarn);
-  EXPECT_TRUE(SA_LOG_ENABLED(kError));
-  EXPECT_TRUE(SA_LOG_ENABLED(kWarn));
-  EXPECT_FALSE(SA_LOG_ENABLED(kInfo));
-  log::SetLevelForTesting(log::kDebug);
-  EXPECT_TRUE(SA_LOG_ENABLED(kDebug));
-  // A live Write must not crash or interleave; output goes to stderr.
-  SA_LOG(kInfo, "test", "formatted %d %s", 42, "fields");
-  log::SetLevelForTesting(log::kOff);
 }
 
 }  // namespace

@@ -14,8 +14,6 @@
 namespace sa::obs {
 namespace {
 
-static_assert(kCompiledIn, "obs tests require an SA_OBS build");
-
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -2,14 +2,16 @@
 // run lands a DecisionRecord in the slot's ring, accepted decisions are
 // scored realized-vs-predicted on the next drain, a planted estimator
 // misprediction surfaces as nonzero calibration error, and the flap
-// detector holds an oscillating slot down. All of it is runtime state — the
-// tests run identically with SA_OBS compiled out.
+// detector holds an oscillating slot down. All of it is runtime state, so
+// the explain ABI answers with telemetry switched off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "adapt/decision_record.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "runtime/audit.h"
 #include "runtime/daemon.h"
 #include "runtime/entry_points.h"
@@ -306,6 +308,46 @@ TEST_F(AuditTest, ExplainAbiExposesRingNewestFirst) {
   for (int i = 0; i < SA_EXPLAIN_MAX_DECISIONS; ++i) {
     EXPECT_NE(decisions[i].trace_id, published.trace_id);  // truly evicted
   }
+}
+
+// Switches telemetry off for its scope and restores the prior state.
+class TelemetryOff {
+ public:
+  TelemetryOff() : was_enabled_(obs::Enabled()) { obs::SetEnabled(false); }
+  ~TelemetryOff() { obs::SetEnabled(was_enabled_); }
+  TelemetryOff(const TelemetryOff&) = delete;
+  TelemetryOff& operator=(const TelemetryOff&) = delete;
+
+ private:
+  bool was_enabled_;
+};
+
+// The audit plane is runtime state, not telemetry: with the kill switch off
+// the explain ABI still answers with the accepted, published decision, while
+// the counters and the trace ring stand still.
+TEST_F(AuditTest, ExplainAnswersWithTelemetryOff) {
+  ArraySlot* slot = MakeReadOnlySlot("dark", 8192);
+  AdaptationDaemon daemon = MakeDaemon();
+  const TelemetryOff off;
+  const uint64_t restructures = obs::CounterValue(obs::kDaemonRestructures);
+  const uint64_t trace_head = obs::TraceHead();
+  ASSERT_TRUE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
+
+  SaSlotDecision newest;
+  ASSERT_EQ(saSlotExplain(slot, &newest, 1), 1u);
+  EXPECT_EQ(newest.reason, static_cast<uint32_t>(adapt::DecisionReason::kAccepted));
+  EXPECT_NE(newest.published, 0u);
+  EXPECT_EQ(newest.published_sequence, slot->sequence());
+  SaSlotDecision published;
+  ASSERT_EQ(saSlotExplainPublished(slot, &published), 1u);
+  EXPECT_EQ(published.trace_id, newest.trace_id);
+  EXPECT_EQ(published.reason, newest.reason);
+  EXPECT_EQ((published.packed_chosen >> 16) & 0xff, slot->bits());
+  EXPECT_EQ((published.packed_chosen >> 8) & 0xff,
+            static_cast<uint64_t>(slot->placement().kind));
+
+  EXPECT_EQ(obs::CounterValue(obs::kDaemonRestructures), restructures);
+  EXPECT_EQ(obs::TraceHead(), trace_head);
 }
 
 TEST_F(AuditTest, ExplainPublishedIsZeroWithoutAnyPublish) {

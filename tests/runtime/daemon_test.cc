@@ -377,7 +377,6 @@ TEST(DaemonWorkerSetTest, StolenShardSkipsSlotBeingDrained) {
   EXPECT_EQ(slot->DrainSample().writes, 0u);
 }
 
-#ifdef SA_OBS
 TEST(DaemonWorkerSetTest, SpareWorkerStealsTheOnlyShard) {
   // One shard, two workers: every pass the spare worker services is by
   // definition a steal. With continuous traffic and a 1 ms interval the
@@ -452,7 +451,6 @@ TEST_F(AdaptationDaemonTest, BackpressureDefersRestructuresUnderRetiredDebt) {
   EXPECT_TRUE(daemon.AdaptSlot(*slot, MemBoundStreamingCounters(machine_)));
   EXPECT_EQ(slot->sequence(), sequence + 1);
 }
-#endif  // SA_OBS
 
 }  // namespace
 }  // namespace sa::runtime

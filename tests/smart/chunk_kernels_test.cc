@@ -165,7 +165,7 @@ TEST_P(ChunkKernelTest, V2KernelsMatchScalarWhenRunnable) {
   const CodecOps* v2_kernels = CandidateKernels(GetParam(), KernelKind::kAvx2V2);
   if (v2_kernels == nullptr) {
     GTEST_SKIP() << "no v2 kernel for bits=" << GetParam()
-                 << " (native-width special case, no host support, or SA_DISABLE_AVX2)";
+                 << " (native-width special case, no host support, or SA_FORCE_KERNEL)";
   }
   const CodecOps& v2 = *v2_kernels;
   WithBits(GetParam(), [&](auto bits_const) {

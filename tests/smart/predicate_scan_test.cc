@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "common/random.h"
 #include "smart/dispatch.h"
 #include "smart/parallel_ops.h"
@@ -151,14 +150,18 @@ TEST_P(PredicateScanTest, FilteredSumMatchesOracle) {
 
 // The AVX2 v2 predicate walkers must agree with the scalar block ones on
 // every chunk's match mask and filtered sum, for every normalized (bound,
-// is_eq, invert) shape. Skips where the host cannot run AVX2 (including
-// under SA_DISABLE_AVX2), so those hosts never execute AVX2 instructions.
-// Widths without a v2 network have no v2 kernel set, so there the block set
-// is compared with itself, trivially true as before. simd_kernels_test.cc
-// covers ragged ranges.
+// is_eq, invert) shape. Skips where no width has runnable v2 kernels (no
+// host AVX2, or SA_FORCE_KERNEL=block), so those runs never execute AVX2
+// instructions nor compare block with itself. Widths without a v2 network
+// have no v2 kernel set, so there the block set is compared with itself,
+// trivially true as before. simd_kernels_test.cc covers ragged ranges.
 TEST_P(PredicateScanTest, BlockAndV2ChunkKernelsAgree) {
-  if (!HostCpuFeatures().avx2) {
-    GTEST_SKIP() << "host cannot run AVX2 (no support, or SA_DISABLE_AVX2)";
+  bool v2_runnable = false;
+  for (uint32_t bits = 1; bits <= 64; ++bits) {
+    v2_runnable = v2_runnable || CandidateKernels(bits, KernelKind::kAvx2V2) != nullptr;
+  }
+  if (!v2_runnable) {
+    GTEST_SKIP() << "no runnable v2 kernel (no host AVX2, or SA_FORCE_KERNEL=block)";
   }
   const uint64_t n = 8 * kChunkElems;
   std::vector<uint64_t> oracle;

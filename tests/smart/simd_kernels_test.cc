@@ -2,11 +2,12 @@
 // the scalar block kernels, at every width 1..64, plus the kernel table's
 // selection invariants under each override.
 //
-// Each SIMD test skips unless its kind has kernels at the width AND the host
-// can run them (CPUID minus SA_DISABLE_AVX2), so hosts without the ISA never
-// execute its instructions. The data is raw packed words — random words,
-// and all-ones words, where every lane holds the width's maximum so a
-// 32-bit lane that overflows or widens wrongly shows up.
+// Each SIMD test skips unless its kind has kernels at the width, the host
+// can run them (CPUID), and SA_FORCE_KERNEL does not force a kind before
+// it, so hosts without the ISA never execute its instructions. The data is
+// raw packed words — random words, and all-ones words, where every lane
+// holds the width's maximum so a 32-bit lane that overflows or widens
+// wrongly shows up.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "common/cpu_features.h"
 #include "common/random.h"
 #include "smart/kernel_table.h"
 
@@ -69,7 +69,7 @@ class SimdKernelTest : public ::testing::TestWithParam<uint32_t> {
     const CodecOps* candidate = CandidateKernels(bits, kind);
     if (candidate == nullptr) {
       GTEST_SKIP() << "no " << ToString(kind) << " kernel for bits=" << bits
-                   << " (width outside the kind, no host support, or SA_DISABLE_AVX2)";
+                   << " (width outside the kind, no host support, or SA_FORCE_KERNEL)";
     }
     const CodecOps& got = *candidate;
     const CodecOps& want = *CandidateKernels(bits, KernelKind::kBlock);
@@ -195,23 +195,9 @@ TEST(KernelTableTest, CodecTableBindsTheSelectedKernels) {
   }
 }
 
-// Passes only in the SA_DISABLE_AVX2 lanes, which must stay scalar-only now
-// that more than one SIMD kind exists.
-TEST(KernelTableTest, DisableAvx2BindsBlockEverywhere) {
-  const char* disable = std::getenv("SA_DISABLE_AVX2");
-  if (disable == nullptr || std::strcmp(disable, "0") == 0) {
-    GTEST_SKIP() << "runs only under SA_DISABLE_AVX2";
-  }
-  EXPECT_FALSE(HostCpuFeatures().avx2);
-  EXPECT_FALSE(HostCpuFeatures().avx512);
-  for (uint32_t bits = 1; bits <= 64; ++bits) {
-    EXPECT_EQ(CodecFor(bits).kind, KernelKind::kBlock) << "bits=" << bits;
-    EXPECT_EQ(CodecFor(bits).predicate_kind, KernelKind::kBlock) << "bits=" << bits;
-  }
-}
-
 // SA_FORCE_KERNEL=block|avx2|avx512 binds the forced kind at every width
-// where it can run; a forced kind also excludes the kinds after it.
+// where it can run; a forced kind also makes the kinds after it unrunnable,
+// so SA_FORCE_KERNEL=block binds block everywhere and runs no SIMD kernel.
 TEST(KernelTableTest, ForcedKindBindsEveryRunnableWidth) {
   const char* env = std::getenv("SA_FORCE_KERNEL");
   KernelKind forced;
@@ -230,6 +216,11 @@ TEST(KernelTableTest, ForcedKindBindsEveryRunnableWidth) {
       EXPECT_LE(selected, forced) << "bits=" << bits;
       if (KindRunnable(bits, forced)) {
         EXPECT_EQ(selected, forced) << "bits=" << bits;
+      }
+    }
+    for (const KernelKind kind : {KernelKind::kAvx2V2, KernelKind::kAvx512}) {
+      if (forced < kind) {
+        EXPECT_FALSE(KindRunnable(bits, kind)) << "bits=" << bits << " " << ToString(kind);
       }
     }
   }

@@ -156,9 +156,6 @@ TEST_F(TableTest, ForcedEncodingsStillAnswerCorrectly) {
 // run-length term and the bit-packed column is never scanned (its zone walk
 // would move the chunk counters).
 TEST_F(TableTest, ConjunctionScansSmallestColumnFirst) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out (SA_OBS=OFF)";
-  }
   Xoshiro256 rng(6);
   std::vector<uint64_t> wide(kRows);
   std::vector<uint64_t> status(kRows);
@@ -201,9 +198,6 @@ TEST(EncodedArrayAutoTest, AutoSelectionMatchesChooser) {
 // MIN/MAX reads chunk metadata only: over every encoding, MinMaxOf decodes
 // no range.
 TEST(MinMaxTelemetryTest, MinMaxOfDecodesNoRows) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out (SA_OBS=OFF)";
-  }
   const auto topo = platform::Topology::Synthetic(2, 2);
   rts::WorkerPool pool(topo, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false});
   std::vector<uint64_t> values(3 * rts::kDefaultGrain + 100);

@@ -60,7 +60,7 @@ def main():
     if not isinstance(events, list):
         fail("traceEvents is not an array")
     if not events:
-        fail("traceEvents is empty — no adaptation ran, or SA_OBS is off")
+        fail("traceEvents is empty — no adaptation ran, or telemetry is off")
 
     # trace id -> set of span names carrying it
     spans_by_id = {}

@@ -89,8 +89,8 @@ struct PhaseResult {
   // Daemon-side activity during the phase.
   uint64_t daemon_passes = 0;
   uint64_t daemon_adaptations = 0;
-  uint64_t daemon_shard_claims = 0;   // 0 unless built with SA_OBS
-  uint64_t daemon_shard_steals = 0;   // 0 unless built with SA_OBS
+  uint64_t daemon_shard_claims = 0;   // 0 while telemetry is off
+  uint64_t daemon_shard_steals = 0;   // 0 while telemetry is off
   uint64_t daemon_backpressure_drops = 0;
   int64_t max_shard_queue_depth = 0;
 

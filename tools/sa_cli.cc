@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "adapt/cases.h"
+#include "adapt/decision_record.h"
 #include "adapt/selector.h"
 #include "graph/concurrent.h"
 #include "loadgen.h"
@@ -46,6 +47,9 @@
 #include "smart/parallel_ops.h"
 
 namespace {
+
+using sa::adapt::DecodeConfigWord;
+using sa::adapt::DecisionReason;
 
 struct Args {
   std::string command;
@@ -353,38 +357,6 @@ int CmdDaemon(const Args& args) {
 
 // ---- obs: run the daemon demo, then expose the telemetry three ways ----
 
-// Inverse of adapt::PackConfigWord: encoding<<24 | bits<<16 | kind<<8 |
-// socket.
-std::string DecodeTraceConfig(uint64_t packed) {
-  const auto kind = static_cast<sa::smart::Placement>((packed >> 8) & 0xff);
-  const auto bits = static_cast<uint32_t>((packed >> 16) & 0xff);
-  const auto encoding = static_cast<sa::smart::Encoding>((packed >> 24) & 0xff);
-  std::string s = sa::smart::ToString(kind);
-  if (kind == sa::smart::Placement::kSingleSocket) {
-    s += "(" + std::to_string(packed & 0xff) + ")";
-  }
-  s += "/" + std::to_string(bits) + "b";
-  if (encoding != sa::smart::Encoding::kBitPacked) {
-    s += std::string("/") + sa::smart::ToString(encoding);
-  }
-  return s;
-}
-
-const char* DecisionReasonName(uint64_t reason) {
-  switch (reason) {
-    case 0:
-      return "accept";
-    case 1:
-      return "reject-same";
-    case 2:
-      return "reject-margin";
-    case 3:
-      return "flap-hold";
-    default:
-      return "?";
-  }
-}
-
 std::string FormatTraceEvent(const SaObsTraceEvent& ev) {
   char buf[256];
   const char* kind = saObsTraceKindName(ev.kind);
@@ -403,13 +375,14 @@ std::string FormatTraceEvent(const SaObsTraceEvent& ev) {
     case 2:  // decision: c = reason | id << 8
       trace_id = ev.c >> 8;
       std::snprintf(buf, sizeof(buf), "%s %s -> %s win=+%.2f%%",
-                    DecisionReasonName(ev.c & 0xff), DecodeTraceConfig(ev.a).c_str(),
-                    DecodeTraceConfig(ev.b).c_str(), static_cast<double>(ev.d) / 1e4);
+                    sa::adapt::ToString(static_cast<DecisionReason>(ev.c & 0xff)),
+                    DecodeConfigWord(ev.a).c_str(), DecodeConfigWord(ev.b).c_str(),
+                    static_cast<double>(ev.d) / 1e4);
       break;
     case 3:  // restructure_begin: c = id
       trace_id = ev.c;
-      std::snprintf(buf, sizeof(buf), "%s -> %s", DecodeTraceConfig(ev.a).c_str(),
-                    DecodeTraceConfig(ev.b).c_str());
+      std::snprintf(buf, sizeof(buf), "%s -> %s", DecodeConfigWord(ev.a).c_str(),
+                    DecodeConfigWord(ev.b).c_str());
       break;
     case 4:  // restructure_end: d = ok | id << 1
       trace_id = ev.d >> 1;
@@ -434,7 +407,7 @@ std::string FormatTraceEvent(const SaObsTraceEvent& ev) {
     case 8:  // flap_hold: c = id
       trace_id = ev.c;
       std::snprintf(buf, sizeof(buf), "%s held against %s, %llu hold(s) left",
-                    DecodeTraceConfig(ev.a).c_str(), DecodeTraceConfig(ev.b).c_str(),
+                    DecodeConfigWord(ev.a).c_str(), DecodeConfigWord(ev.b).c_str(),
                     static_cast<unsigned long long>(ev.d));
       break;
     case 9:  // version_reclaim: c = id of the publish that retired it
@@ -525,9 +498,6 @@ int CmdGraphLive(const Args& args) {
   const std::string algo = args.Get("algo", "pagerank");
   const int iters = static_cast<int>(args.GetInt("iters", 5));
 
-  if (saObsCompiledIn() == 0) {
-    std::fprintf(stderr, "sa_cli graph: built without SA_OBS; telemetry reads all-zero\n");
-  }
   saObsReset();
   const auto topo = sa::platform::Topology::Host();
   sa::rts::WorkerPool pool(topo);
@@ -623,9 +593,6 @@ int CmdGraphLive(const Args& args) {
 }
 
 int CmdObs(const Args& args) {
-  if (saObsCompiledIn() == 0) {
-    std::fprintf(stderr, "sa_cli obs: built without SA_OBS; telemetry reads all-zero\n");
-  }
   saObsReset();
 
   RuntimeDemo demo;
@@ -682,15 +649,15 @@ int CmdObs(const Args& args) {
 // index >= 0 labels a ring entry; index < 0 labels the eviction-proof copy
 // of the newest published decision.
 void PrintDecision(const SaSlotDecision& d, int index) {
+  const char* reason = sa::adapt::ToString(static_cast<DecisionReason>(d.reason));
   if (index >= 0) {
     std::printf("  [%d]", index);
   } else {
     std::printf("  [published]");
   }
-  std::printf(" id=%llu %s %s -> %s\n",
-              static_cast<unsigned long long>(d.trace_id), DecisionReasonName(d.reason),
-              DecodeTraceConfig(d.packed_current).c_str(),
-              DecodeTraceConfig(d.packed_chosen).c_str());
+  std::printf(" id=%llu %s %s -> %s\n", static_cast<unsigned long long>(d.trace_id), reason,
+              DecodeConfigWord(d.packed_current).c_str(),
+              DecodeConfigWord(d.packed_chosen).c_str());
   std::printf("      inputs: rate=%.3g/s random=%.3f mem-util=%.2f ic-util=%.2f "
               "compress-ratio=%.3f fordelta-ratio=%.3f%s%s\n",
               d.in_accesses_per_second, d.in_random_fraction, d.in_mem_utilization,
@@ -700,12 +667,12 @@ void PrintDecision(const SaSlotDecision& d, int index) {
   std::printf("      candidates:");
   for (uint32_t c = 0; c < d.num_candidates; ++c) {
     std::printf("%s %s %s est=%.3f", c == 0 ? "" : " |", d.candidate_role[c],
-                DecodeTraceConfig(d.candidate_config[c]).c_str(), d.candidate_speedup[c]);
+                DecodeConfigWord(d.candidate_config[c]).c_str(), d.candidate_speedup[c]);
   }
   std::printf("\n");
   std::printf("      margin: chosen=%.3f current=%.3f win=%+.2f%% needed>%+.2f%% -> %s\n",
               d.chosen_speedup, d.current_speedup, d.predicted_win * 100.0,
-              d.margin * 100.0, DecisionReasonName(d.reason));
+              d.margin * 100.0, reason);
   if (d.published != 0) {
     std::printf("      published as sequence %llu\n",
                 static_cast<unsigned long long>(d.published_sequence));
@@ -724,10 +691,6 @@ void PrintDecision(const SaSlotDecision& d, int index) {
 // --trace-out, also exports the causally-linked adaptation timeline as
 // Chrome trace-event JSON (open in Perfetto / chrome://tracing).
 int CmdExplain(const Args& args) {
-  if (saObsCompiledIn() == 0) {
-    std::fprintf(stderr, "sa_cli explain: built without SA_OBS; the audit ring still "
-                         "records, but the trace export will be empty\n");
-  }
   saObsReset();
   RuntimeDemo demo;
   // Lower assumed bandwidth than the other demos: explain is the decision
@@ -771,7 +734,7 @@ int CmdExplain(const Args& args) {
       ++scored;
     }
     std::printf("current configuration %s from decision id=%llu%s\n",
-                DecodeTraceConfig(published.packed_chosen).c_str(),
+                DecodeConfigWord(published.packed_chosen).c_str(),
                 static_cast<unsigned long long>(published.trace_id),
                 published.scored != 0 ? " (scored)" : " (not yet scored)");
   }
