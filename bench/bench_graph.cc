@@ -167,8 +167,9 @@ int main(int argc, char** argv) {
 
   const auto topo = platform::Topology::Host();
   rts::WorkerPool pool(topo);
-  // The daemon rebuilds on a dedicated worker so its ParallelFor never
-  // contends for the analytics pool (one pool cannot nest regions).
+  // The daemon rebuilds on a pool of its own (one pool thread beside the
+  // daemon thread) so its ParallelFor never contends for the analytics pool
+  // (one pool cannot nest regions).
   rts::WorkerPool daemon_pool(topo, rts::WorkerPool::Options{.num_threads = 1, .pin_threads = false});
   runtime::ArrayRegistry registry(topo);
 

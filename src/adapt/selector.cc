@@ -56,10 +56,15 @@ std::string DecodeConfigWord(uint64_t word) {
   const auto bits = static_cast<uint32_t>((word >> 16) & 0xff);
   const auto encoding = static_cast<smart::Encoding>((word >> 24) & 0xff);
   std::string s = smart::ToString(kind);
+  // Appended piecewise: gcc 12 at -O3 reports `"(" + std::to_string(n)` as -Wrestrict.
   if (kind == smart::Placement::kSingleSocket) {
-    s += "(" + std::to_string(word & 0xff) + ")";
+    s += '(';
+    s += std::to_string(word & 0xff);
+    s += ')';
   }
-  s += "/" + std::to_string(bits) + "b";
+  s += '/';
+  s += std::to_string(bits);
+  s += 'b';
   if (encoding != smart::Encoding::kBitPacked) {
     s += std::string("/") + smart::ToString(encoding);
   }

@@ -7,6 +7,14 @@
 
 namespace sa::rts {
 
+namespace {
+
+// The caller's share. A throw out of fn ends the process, as it does on a
+// pool thread: unwinding here would leave the pool threads running fn.
+void RunShare(const std::function<void(int)>& fn, int worker) noexcept { fn(worker); }
+
+}  // namespace
+
 WorkerPool::WorkerPool(const platform::Topology& topology, Options options) {
   num_sockets_ = topology.num_sockets();
   workers_per_socket_.assign(num_sockets_, 0);
@@ -27,18 +35,23 @@ WorkerPool::WorkerPool(const platform::Topology& topology, Options options) {
     }
   }
 
-  int n = options.num_threads > 0 ? options.num_threads : static_cast<int>(cpu_socket.size());
-  SA_CHECK_MSG(n >= 1, "pool needs at least one worker");
-
-  worker_socket_.resize(n);
-  workers_.reserve(n);
+  // The calling thread takes the last CPU's place in a default pool.
+  const int n = options.num_threads > 0 ? options.num_threads
+                                        : static_cast<int>(cpu_socket.size()) - 1;
+  worker_socket_.resize(n + 1);
+  threads_.reserve(n);
   const bool pin = options.pin_threads && topology.is_host();
   for (int w = 0; w < n; ++w) {
     const auto [cpu, socket] = cpu_socket[w % cpu_socket.size()];
     worker_socket_[w] = socket;
     ++workers_per_socket_[socket];
-    workers_.emplace_back([this, w, cpu, pin] { WorkerMain(w, cpu, pin); });
+    threads_.emplace_back([this, w, cpu, pin] { WorkerMain(w, cpu, pin); });
   }
+  const int caller_socket = static_cast<int>(
+      std::min_element(workers_per_socket_.begin(), workers_per_socket_.end()) -
+      workers_per_socket_.begin());
+  worker_socket_[n] = caller_socket;
+  ++workers_per_socket_[caller_socket];
 }
 
 WorkerPool::~WorkerPool() {
@@ -47,18 +60,23 @@ WorkerPool::~WorkerPool() {
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  for (auto& t : workers_) {
+  for (auto& t : threads_) {
     t.join();
   }
 }
 
 void WorkerPool::RunOnAll(const std::function<void(int)>& fn) {
-  std::unique_lock<std::mutex> lock(mu_);
-  SA_CHECK_MSG(task_ == nullptr, "parallel regions cannot nest on one pool");
-  task_ = &fn;
-  outstanding_ = num_workers();
-  ++generation_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    SA_CHECK_MSG(task_ == nullptr, "parallel regions cannot nest on one pool");
+    task_ = &fn;
+    // Each pool thread runs every generation once.
+    outstanding_ = static_cast<int>(threads_.size());
+    ++generation_;
+  }
   work_cv_.notify_all();
+  RunShare(fn, num_workers() - 1);
+  std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return outstanding_ == 0; });
   task_ = nullptr;
 }

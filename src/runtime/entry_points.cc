@@ -59,6 +59,9 @@ void* saRegistryCreate(int sockets, int cpus_per_socket) {
 }
 
 void* saRegistryCreateSharded(int sockets, int cpus_per_socket, int shards) {
+  if (sockets > 0 && cpus_per_socket < 1) {
+    return nullptr;  // a synthetic topology with no CPU
+  }
   auto* handle = new RegistryHandle;
   handle->topology = std::make_unique<sa::platform::Topology>(
       sockets <= 0 ? sa::platform::Topology::Host()

@@ -22,7 +22,9 @@
 extern "C" {
 
 // ---- Registry lifecycle ----
-// sockets == 0 selects the host topology.
+// sockets <= 0 selects the host topology; otherwise the topology is a
+// synthetic sockets x cpus_per_socket one, and NULL comes back (without
+// aborting) when cpus_per_socket < 1.
 void* saRegistryCreate(int sockets, int cpus_per_socket);
 // Like saRegistryCreate, with a sharded control plane: slot names hash to
 // one of `shards` (rounded up to a power of two) independent contention

@@ -50,7 +50,10 @@ inline const char* ToString(Placement p) {
 inline std::string ToString(const PlacementSpec& spec) {
   std::string s = ToString(spec.kind);
   if (spec.kind == Placement::kSingleSocket) {
-    s += "(" + std::to_string(spec.socket) + ")";
+    // Appended piecewise: gcc 12 at -O3 reports `"(" + std::to_string(n)` as -Wrestrict.
+    s += '(';
+    s += std::to_string(spec.socket);
+    s += ')';
   }
   return s;
 }

@@ -467,8 +467,10 @@ class Executor {
     options.placement = DecodePlacement(op.b);
     options.compress_indexes = (op.c % 3) != 0;  // U / V / V+E tiers
     options.compress_edges = (op.c % 3) == 2;
-    const graph::RegistryCsrGraph rgraph(*registry, "g" + std::to_string(graph_counter_++), csr,
-                                         options);
+    // Appended piecewise: gcc 12 at -O3 reports `"g" + std::to_string(n)` as -Wrestrict.
+    std::string name = "g";
+    name += std::to_string(graph_counter_++);
+    const graph::RegistryCsrGraph rgraph(*registry, name, csr, options);
     graph::GraphSnapshot snapshot = rgraph.Pin();
 
     switch (op.kind) {

@@ -30,13 +30,15 @@ namespace sa::testkit {
 // program hundreds of times; respawning pool threads per run would dominate
 // the wall clock). Synthetic 2x4 topology: placements get two sockets to be
 // meaningful, and replica selection stays deterministic (synthetic
-// topologies always resolve the calling thread to replica 0).
+// topologies always resolve the calling thread to replica 0). Each pool has
+// one thread fewer than it has workers, since the caller is the last one:
+// 4 workers in `pool` and 2 in `daemon_pool`, split evenly over the sockets.
 struct TestContext {
   TestContext()
       : topology(platform::Topology::Synthetic(2, 4)),
-        pool(topology, rts::WorkerPool::Options{.num_threads = 4, .pin_threads = false}),
+        pool(topology, rts::WorkerPool::Options{.num_threads = 3, .pin_threads = false}),
         daemon_pool(topology,
-                    rts::WorkerPool::Options{.num_threads = 2, .pin_threads = false}) {}
+                    rts::WorkerPool::Options{.num_threads = 1, .pin_threads = false}) {}
 
   platform::Topology topology;
   rts::WorkerPool pool;

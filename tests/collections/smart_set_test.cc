@@ -79,7 +79,7 @@ TEST_P(SmartSetTest, PayloadIsBitCompressed) {
 
 INSTANTIATE_TEST_SUITE_P(Layouts, SmartSetTest,
                          ::testing::Values(SetLayout::kSorted, SetLayout::kEytzinger),
-                         [](const auto& info) { return std::string(ToString(info.param)); });
+                         [](const auto& p) { return std::string(ToString(p.param)); });
 
 TEST(SmartSetRangeTest, CountRangeMatchesReference) {
   const auto topo = platform::Topology::Synthetic(1, 2);
@@ -91,7 +91,7 @@ TEST(SmartSetRangeTest, CountRangeMatchesReference) {
     reference.insert(v);
   }
   SmartSet set(values, SetLayout::kSorted, smart::PlacementSpec::OsDefault(), topo);
-  for (const auto [lo, hi] : {std::pair<uint64_t, uint64_t>{0, 4999},
+  for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{0, 4999},
                               {100, 200},
                               {4999, 4999},
                               {300, 299},

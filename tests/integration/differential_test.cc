@@ -138,8 +138,6 @@ TEST_P(DifferentialTest, RandomizedViewIsJustAPermutedVector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range<uint64_t>(1, 9),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
+                         [](const auto& p) { return "seed" + std::to_string(p.param); });
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -16,7 +17,7 @@ class ParallelForTest : public ::testing::TestWithParam<Scheduling> {
  protected:
   ParallelForTest()
       : topo_(platform::Topology::Synthetic(2, 2)),
-        pool_(topo_, WorkerPool::Options{.num_threads = 4, .pin_threads = false}) {}
+        pool_(topo_, WorkerPool::Options{.num_threads = 3, .pin_threads = false}) {}
 
   platform::Topology topo_;
   WorkerPool pool_;
@@ -91,8 +92,8 @@ TEST_P(ParallelForTest, ReduceMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(AllSchedulings, ParallelForTest,
                          ::testing::Values(Scheduling::kDynamicGlobal,
                                            Scheduling::kDynamicPerSocket, Scheduling::kStatic),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& p) {
+                           switch (p.param) {
                              case Scheduling::kDynamicGlobal:
                                return "DynamicGlobal";
                              case Scheduling::kDynamicPerSocket:
@@ -105,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulings, ParallelForTest,
 
 TEST(ParallelForStatsTest, StatsAccountForAllIterations) {
   const auto topo = platform::Topology::Synthetic(2, 2);
-  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 3, .pin_threads = false});
   LoopStats stats;
   constexpr uint64_t kN = 64 * 1024;
   ParallelFor(pool, 0, kN, 1024, [](int, uint64_t, uint64_t) {},
@@ -123,7 +124,7 @@ TEST(ParallelForStatsTest, DynamicDistributionUsesMultipleWorkers) {
   // are scheduled, so overlap is forced: the first worker to claim a batch
   // parks until a second worker has claimed one too (bounded wait).
   const auto topo = platform::Topology::Synthetic(2, 2);
-  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 4, .pin_threads = false});
+  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 3, .pin_threads = false});
   LoopStats stats;
   std::atomic<int> claimers{0};
   std::atomic<bool> done_waiting{false};
@@ -153,7 +154,7 @@ TEST(ParallelForStatsTest, WorkersNeverReturnHomeAfterStealing) {
   // sub-range before stealing, so once a worker claims a foreign batch it
   // never claims a home batch again — independent of host scheduling.
   const auto topo = platform::Topology::Synthetic(2, 1);
-  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 2, .pin_threads = false});
+  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 1, .pin_threads = false});
   constexpr uint64_t kN = 64 * 1024;
   std::vector<std::vector<uint64_t>> order(pool.num_workers());
   ParallelFor(pool, 0, kN, 1024,
@@ -179,6 +180,68 @@ TEST(ParallelForDeathTest, RejectsZeroGrain) {
   const auto topo = platform::Topology::Synthetic(1, 2);
   WorkerPool pool(topo, WorkerPool::Options{.num_threads = 2, .pin_threads = false});
   EXPECT_DEATH(ParallelFor(pool, 0, 10, 0, [](int, uint64_t, uint64_t) {}), "grain");
+}
+
+constexpr Scheduling kAllSchedulings[] = {Scheduling::kDynamicGlobal,
+                                           Scheduling::kDynamicPerSocket, Scheduling::kStatic};
+
+TEST(ParallelForCallerTest, OneCpuDefaultPoolRunsLoopsOnTheCaller) {
+  const auto topo = platform::Topology::Synthetic(1, 1);
+  WorkerPool pool(topo, WorkerPool::Options{.num_threads = 0, .pin_threads = false});
+  ASSERT_EQ(pool.num_workers(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Scheduling scheduling : kAllSchedulings) {
+    constexpr uint64_t kN = 100'000;
+    std::vector<uint8_t> seen(kN, 0);
+    ParallelFor(pool, 0, kN, 1024,
+                [&](int worker, uint64_t b, uint64_t e) {
+                  EXPECT_EQ(worker, 0);
+                  EXPECT_EQ(std::this_thread::get_id(), caller);
+                  for (uint64_t i = b; i < e; ++i) {
+                    ++seen[i];
+                  }
+                },
+                scheduling);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<std::ptrdiff_t>(kN));
+    const uint64_t got = ParallelReduce<uint64_t>(
+        pool, 0, kN, 1 << 12,
+        [](int, uint64_t b, uint64_t e) {
+          uint64_t s = 0;
+          for (uint64_t i = b; i < e; ++i) {
+            s += i * 3 + 1;
+          }
+          return s;
+        },
+        scheduling);
+    EXPECT_EQ(got, 3 * (kN * (kN - 1) / 2) + kN);
+  }
+}
+
+TEST(ParallelForDeathTest, NestingOnABusyPoolDies) {
+  const auto topo = platform::Topology::Synthetic(1, 2);
+  const WorkerPool::Options options{.num_threads = 1, .pin_threads = false};
+  // Pools are built inside each death statement: the forked child only
+  // inherits the calling thread.
+  // A loop inside a loop, on whichever worker gets there first.
+  EXPECT_DEATH(
+      {
+        WorkerPool pool(topo, options);
+        ParallelFor(pool, 0, 1 << 12, 64, [&](int, uint64_t, uint64_t) {
+          ParallelFor(pool, 0, 1 << 12, 64, [](int, uint64_t, uint64_t) {});
+        });
+      },
+      "parallel regions cannot nest on one pool");
+  // A loop on a pool thread while the caller runs its share.
+  EXPECT_DEATH(
+      {
+        WorkerPool pool(topo, options);
+        pool.RunOnAll([&](int worker) {
+          if (worker != pool.num_workers() - 1) {
+            ParallelFor(pool, 0, 1 << 12, 64, [](int, uint64_t, uint64_t) {});
+          }
+        });
+      },
+      "parallel regions cannot nest on one pool");
 }
 
 }  // namespace

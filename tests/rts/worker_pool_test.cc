@@ -1,5 +1,8 @@
 #include <atomic>
+#include <filesystem>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,16 +29,17 @@ TEST(WorkerPoolTest, DefaultSizeMatchesTopology) {
 
 TEST(WorkerPoolTest, WorkersFillSocketsEvenly) {
   const auto topo = platform::Topology::Synthetic(2, 4);
-  WorkerPool pool(topo, Unpinned(4));
-  // Socket-major interleaving: with 4 workers on 2 sockets, 2 per socket.
+  WorkerPool pool(topo, Unpinned(3));
+  // Socket-major interleaving: 3 pool threads and the caller on 2 sockets,
+  // 2 per socket.
   EXPECT_EQ(pool.workers_per_socket()[0], 2);
   EXPECT_EQ(pool.workers_per_socket()[1], 2);
 }
 
 TEST(WorkerPoolTest, RunOnAllReachesEveryWorkerOnce) {
   const auto topo = platform::Topology::Synthetic(2, 2);
-  WorkerPool pool(topo, Unpinned(4));
-  std::vector<std::atomic<int>> hits(4);
+  WorkerPool pool(topo, Unpinned(3));
+  std::vector<std::atomic<int>> hits(pool.num_workers());
   pool.RunOnAll([&](int w) { ++hits[w]; });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
@@ -44,7 +48,7 @@ TEST(WorkerPoolTest, RunOnAllReachesEveryWorkerOnce) {
 
 TEST(WorkerPoolTest, SequentialRegionsReuseWorkers) {
   const auto topo = platform::Topology::Synthetic(1, 2);
-  WorkerPool pool(topo, Unpinned(2));
+  WorkerPool pool(topo, Unpinned(1));
   std::atomic<int> total{0};
   for (int round = 0; round < 50; ++round) {
     pool.RunOnAll([&](int) { ++total; });
@@ -54,7 +58,7 @@ TEST(WorkerPoolTest, SequentialRegionsReuseWorkers) {
 
 TEST(WorkerPoolTest, WorkerSocketAssignmentIsConsistent) {
   const auto topo = platform::Topology::Synthetic(2, 3);
-  WorkerPool pool(topo, Unpinned(6));
+  WorkerPool pool(topo, Unpinned(5));
   int per_socket[2] = {0, 0};
   for (int w = 0; w < pool.num_workers(); ++w) {
     const int s = pool.worker_socket(w);
@@ -73,6 +77,68 @@ TEST(WorkerPoolTest, HostPoolRunsPinned) {
   std::atomic<int> count{0};
   pool.RunOnAll([&](int) { ++count; });
   EXPECT_EQ(count.load(), pool.num_workers());
+}
+
+TEST(WorkerPoolTest, CallerRunsTheLastIdAndEveryIdRunsOnce) {
+  const auto topo = platform::Topology::Synthetic(2, 2);
+  WorkerPool pool(topo, Unpinned(3));
+  ASSERT_EQ(pool.num_workers(), 4);
+  const int caller = 3;
+  std::vector<std::atomic<int>> hits(pool.num_workers());
+  std::vector<std::thread::id> ran_on(pool.num_workers());
+  pool.RunOnAll([&](int w) {
+    ++hits[w];
+    ran_on[w] = std::this_thread::get_id();
+  });
+  for (int w = 0; w < pool.num_workers(); ++w) {
+    EXPECT_EQ(hits[w].load(), 1) << "worker " << w;
+    if (w == caller) {
+      EXPECT_EQ(ran_on[w], std::this_thread::get_id());
+    } else {
+      EXPECT_NE(ran_on[w], std::this_thread::get_id()) << "worker " << w;
+    }
+  }
+  EXPECT_EQ(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(), 4u);
+}
+
+TEST(WorkerPoolTest, CallerTakesTheSocketWithTheFewestThreads) {
+  const auto topo = platform::Topology::Synthetic(2, 4);
+  // Threads on sockets 0, 1, 0: the caller goes to socket 1.
+  WorkerPool three(topo, Unpinned(3));
+  EXPECT_EQ(three.worker_socket(three.num_workers() - 1), 1);
+  // Threads on sockets 0, 1, 0, 1: a tie goes to socket 0.
+  WorkerPool four(topo, Unpinned(4));
+  EXPECT_EQ(four.worker_socket(four.num_workers() - 1), 0);
+  EXPECT_EQ(four.workers_per_socket()[0], 3);
+  EXPECT_EQ(four.workers_per_socket()[1], 2);
+}
+
+// Threads of this process, from /proc (0 where it is not mounted).
+int ProcessThreads() {
+  std::error_code ec;
+  int n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(WorkerPoolTest, OneCpuDefaultPoolIsTheCallerAlone) {
+  const auto topo = platform::Topology::Synthetic(1, 1);
+  const int threads_before = ProcessThreads();
+  WorkerPool pool(topo, Unpinned(0));
+  EXPECT_EQ(ProcessThreads(), threads_before);
+  ASSERT_EQ(pool.num_workers(), 1);
+  EXPECT_EQ(pool.workers_per_socket()[0], 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.RunOnAll([&](int w) {
+    EXPECT_EQ(w, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST_F(AuditTest, ExplainAbiExposesRingNewestFirst) {
   SaSlotDecision decisions[SA_EXPLAIN_MAX_DECISIONS];
   const uint64_t total = saSlotExplain(slot, decisions, SA_EXPLAIN_MAX_DECISIONS);
   EXPECT_EQ(total, static_cast<uint64_t>(SlotAuditState::kRingSize) + 3);
-  for (int i = 1; i < SA_EXPLAIN_MAX_DECISIONS; ++i) {
+  for (uint32_t i = 1; i < SA_EXPLAIN_MAX_DECISIONS; ++i) {
     EXPECT_GT(decisions[i - 1].trace_id, decisions[i].trace_id);  // newest first
   }
   // The accept itself has been overwritten; what remains are keeps whose
@@ -305,7 +305,7 @@ TEST_F(AuditTest, ExplainAbiExposesRingNewestFirst) {
   EXPECT_EQ((published.packed_chosen >> 16) & 0xff, slot->bits());
   EXPECT_EQ((published.packed_chosen >> 8) & 0xff,
             static_cast<uint64_t>(slot->placement().kind));
-  for (int i = 0; i < SA_EXPLAIN_MAX_DECISIONS; ++i) {
+  for (uint32_t i = 0; i < SA_EXPLAIN_MAX_DECISIONS; ++i) {
     EXPECT_NE(decisions[i].trace_id, published.trace_id);  // truly evicted
   }
 }

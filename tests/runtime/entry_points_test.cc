@@ -1,7 +1,7 @@
-// The runtime C ABI at its input boundary: names and shapes that
-// saRegistryDefine/Open/Acquire cannot serve come back as NULL instead of
-// aborting the caller's process, and saSnapshotRead checks its index the
-// way saArrayGet does.
+// The runtime C ABI at its input boundary: topologies that saRegistryCreate
+// cannot build, and names and shapes that saRegistryDefine/Open/Acquire
+// cannot serve, come back as NULL instead of aborting the caller's process,
+// and saSnapshotRead checks its index the way saArrayGet does.
 #include <gtest/gtest.h>
 
 #include "runtime/entry_points.h"
@@ -51,6 +51,13 @@ TEST_F(RuntimeAbiTest, SnapshotReadRejectsOutOfRangeIndex) {
   EXPECT_DEATH(saSnapshotRead(snap, 100), "index out of range");
   EXPECT_DEATH(saSnapshotRead(snap, uint64_t{1} << 40), "index out of range");
   saSnapshotUnpin(snap);
+}
+
+TEST_F(RuntimeAbiTest, CreateReturnsNullForAnEmptySyntheticTopology) {
+  EXPECT_EQ(saRegistryCreate(2, 0), nullptr);
+  EXPECT_EQ(saRegistryCreate(2, -1), nullptr);
+  EXPECT_EQ(saRegistryCreateSharded(2, 0, 4), nullptr);
+  EXPECT_EQ(saRegistryCreateSharded(2, -1, 4), nullptr);
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ TEST_P(CodecTest, StraddlingElementsReconstructed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, CodecTest, ::testing::Range(1u, 65u),
-                         [](const auto& info) { return "bits" + std::to_string(info.param); });
+                         [](const auto& p) { return "bits" + std::to_string(p.param); });
 
 // The paper's Fig. 8b worked example: two elements, 33 bits each.
 TEST(CodecExampleTest, Fig8bThirtyThreeBitExample) {

@@ -66,7 +66,7 @@ TEST_P(MapApiTest, EmptyAndTinyRanges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, MapApiTest, ::testing::Values(1u, 13u, 32u, 33u, 64u),
-                         [](const auto& info) { return "bits" + std::to_string(info.param); });
+                         [](const auto& p) { return "bits" + std::to_string(p.param); });
 
 TEST(MapEntryPointTest, AbiMapAndSumAgree) {
   saSetDefaultTopology(2, 2);

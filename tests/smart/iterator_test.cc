@@ -102,7 +102,7 @@ TEST_P(IteratorTest, IteratorSumMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, IteratorTest, ::testing::Range(1u, 65u),
-                         [](const auto& info) { return "bits" + std::to_string(info.param); });
+                         [](const auto& p) { return "bits" + std::to_string(p.param); });
 
 TEST(IteratorReplicaTest, IteratorReadsSocketLocalReplica) {
   const auto topo = platform::Topology::Synthetic(2, 2);

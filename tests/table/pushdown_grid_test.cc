@@ -133,7 +133,8 @@ class PushdownGridTest : public ::testing::TestWithParam<std::tuple<KeyEncoding,
       std::string label = what + ", order";
       for (const size_t i : order) {
         permuted.push_back(predicates[i]);
-        label += " " + std::to_string(i);
+        label += ' ';  // piecewise: gcc 12 at -O3 reports " " + std::to_string(i) as -Wrestrict
+        label += std::to_string(i);
       }
       ExpectMatches(permuted, label);
     } while (std::next_permutation(order.begin(), order.end()));

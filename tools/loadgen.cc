@@ -375,10 +375,12 @@ uint64_t LatencyHistogram::Quantile(double q) const {
 PhaseResult RunPhase(const LoadgenOptions& options, int shards, bool legacy_by_name,
                      const std::string& series_name) {
   const platform::Topology topology = platform::Topology::Synthetic(2, 2);
+  // Two workers per pool, one per socket: a pool thread and the thread that
+  // starts the rebuild.
   rts::WorkerPool daemon_pool(topology,
-                              rts::WorkerPool::Options{.num_threads = 2, .pin_threads = false});
+                              rts::WorkerPool::Options{.num_threads = 1, .pin_threads = false});
   rts::WorkerPool client_pool(topology,
-                              rts::WorkerPool::Options{.num_threads = 2, .pin_threads = false});
+                              rts::WorkerPool::Options{.num_threads = 1, .pin_threads = false});
 
   ArrayRegistry::Options reg_options;
   reg_options.num_shards = shards;

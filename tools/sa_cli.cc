@@ -501,8 +501,9 @@ int CmdGraphLive(const Args& args) {
   saObsReset();
   const auto topo = sa::platform::Topology::Host();
   sa::rts::WorkerPool pool(topo);
-  // The daemon rebuilds on its own pool: analytics own `pool`, and one
-  // WorkerPool cannot run two parallel regions at once.
+  // The daemon rebuilds on its own pool (one pool thread beside the daemon
+  // thread): analytics own `pool`, and one WorkerPool cannot run two
+  // parallel regions at once.
   sa::rts::WorkerPool daemon_pool(
       topo, sa::rts::WorkerPool::Options{.num_threads = 1, .pin_threads = false});
 
